@@ -42,9 +42,12 @@
 //! | `GET /healthz` | — | `200` quorum, `503` degraded |
 //! | `GET /topology` | — | `200` the serving topology + live flags |
 //!
-//! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use;
-//! the router adopts `traceparent` at ingress and propagates it on
-//! every shard hop, so one trace spans the whole fan-out.
+//! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use.
+//! Client connections to the router persist (HTTP/1.1 keep-alive, with
+//! the close rules described on the scatter in `handle_forecast`);
+//! every router→shard hop is still one request per connection. The
+//! router adopts `traceparent` at ingress and propagates it on every
+//! shard hop, so one trace spans the whole fan-out.
 
 pub mod client;
 pub mod fold;
@@ -53,7 +56,7 @@ pub mod topology;
 
 pub use topology::{ShardSpec, Topology};
 
-use fdc_obs::httpcore::{read_request, write_response, Request, RequestError};
+use fdc_obs::httpcore::{write_response, Connection, Request, RequestError};
 use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
 use fdc_serve::json;
 use std::collections::{HashMap, VecDeque};
@@ -290,6 +293,9 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
+        // Responses go out in one write; without Nagle's delay a kept
+        // connection's next answer does not wait on the client's ACK.
+        stream.set_nodelay(true).ok();
         let mut queue = shared.queue.lock().unwrap();
         if queue.len() >= shared.opts.queue_depth {
             drop(queue);
@@ -342,36 +348,65 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Serves one client connection until it closes, a request at a time;
+/// the connection model and its close rules are described on
+/// [`handle_forecast`].
 fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn {
-        mut stream,
-        enqueued,
-    } = conn;
-    if enqueued.elapsed() > shared.opts.deadline {
+    let Conn { stream, enqueued } = conn;
+    let mut conn = Connection::new(stream);
+    // The first request's deadline counts from its enqueueing, a later
+    // one's from the moment its first byte was seen.
+    let mut arrived = enqueued;
+    loop {
+        if !serve_request(shared, &mut conn, arrived) {
+            conn.close(CLOSE_LINGER);
+            return;
+        }
+        if !conn.await_request(shared.opts.read_timeout, || must_yield(shared)) {
+            return;
+        }
+        arrived = Instant::now();
+    }
+}
+
+/// Whether a worker should give its connection up: the router drains,
+/// or another connection waits in the queue for a worker.
+fn must_yield(shared: &Shared) -> bool {
+    shared.stopping.load(Ordering::SeqCst) || !shared.queue.lock().unwrap().is_empty()
+}
+
+/// How long a closing connection waits for the client to close its
+/// side, so a reset cannot destroy the last response.
+const CLOSE_LINGER: Duration = Duration::from_millis(250);
+
+/// Reads, routes and answers one request; `true` when the connection
+/// stays open for another.
+fn serve_request(shared: &Shared, conn: &mut Connection, arrived: Instant) -> bool {
+    if arrived.elapsed() > shared.opts.deadline {
         respond(
-            &mut stream,
+            conn,
             "admission",
             503,
             err_body("deadline exceeded while queued"),
             &[],
         );
-        return;
+        return false;
     }
-    let request = match read_request(&mut stream, shared.opts.max_body, shared.opts.read_timeout) {
+    let request = match conn.read_request(shared.opts.max_body, shared.opts.read_timeout) {
         Ok(r) => r,
         Err(RequestError::BodyTooLarge(_)) => {
             respond(
-                &mut stream,
+                conn,
                 "malformed",
                 413,
                 err_body("request body too large"),
                 &[],
             );
-            return;
+            return false;
         }
         Err(e) => {
-            respond(&mut stream, "malformed", 400, err_body(&e.to_string()), &[]);
-            return;
+            respond(conn, "malformed", 400, err_body(&e.to_string()), &[]);
+            return false;
         }
     };
     let started = Instant::now();
@@ -389,15 +424,22 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     } else {
         "application/json"
     };
-    let status_line = status_line(status);
     fdc_obs::counter_with(
         names::ROUTER_REQUESTS,
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    write_response(&mut stream, status_line, content_type, &body, &extra_refs).ok();
+    let keep = !request.wants_close() && !must_yield(shared);
+    let written = conn.write_response(
+        status_line(status),
+        content_type,
+        body.as_bytes(),
+        &extra_refs,
+        !keep,
+    );
     fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
         .record_duration(started.elapsed());
+    keep && written.is_ok()
 }
 
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
@@ -446,8 +488,9 @@ fn status_line(status: u16) -> &'static str {
     }
 }
 
+/// Answers with `Connection: close`; the caller then closes.
 fn respond(
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     route: &'static str,
     status: u16,
     body: String,
@@ -458,12 +501,12 @@ fn respond(
         &[("route", route), ("status", &status.to_string())],
     )
     .incr();
-    write_response(
-        stream,
+    conn.write_response(
         status_line(status),
         "application/json",
-        &body,
+        body.as_bytes(),
         extra,
+        true,
     )
     .ok();
 }
@@ -734,6 +777,31 @@ fn approx_fragment(doc: &json::Value) -> Result<String, String> {
 
 /// `POST /query` and `POST /explain`: plan → scatter to owning shards
 /// → reassemble rows byte-identically in plan order.
+///
+/// **Scatter.** Plan sites are grouped by owning shard. The worker that
+/// read the request runs the first group's shard call itself and spawns
+/// a scoped thread for each further group, so a single-shard query (the
+/// common case) spawns no thread, and an empty plan makes no call.
+/// Every call carries the request's trace context.
+///
+/// **Connections.** The worker answers on a persistent client
+/// connection (HTTP/1.1 keep-alive, [`Connection`]): after an answer it
+/// waits, in slices of at most [`fdc_obs::httpcore::IDLE_SLICE`], for
+/// the next request on the same connection. It closes the connection
+/// when the client asks (`Connection: close`, or HTTP/1.0), after a
+/// malformed request (`400`/`413`), after an answer while the router
+/// drains or another connection waits in the queue, and while idle —
+/// once `read_timeout` passes, or as soon as the router drains or
+/// another connection waits. So neither idle nor busy clients hold
+/// every worker while others wait. An answer carries `Connection:
+/// close` exactly when the worker closes after it. A later request's deadline counts from its first byte;
+/// the `429` admission still happens per connection, at accept.
+///
+/// **Retry safety.** The idle wait only peeks, so the worker never
+/// closes a connection after reading request bytes it has not
+/// answered: a request that fails on a reused connection before any
+/// answer byte arrived was never routed, and a client may retry it
+/// once on a fresh connection — even a `POST /insert`.
 fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed {
     let no_extra = Vec::new;
     let text = match std::str::from_utf8(body) {
@@ -775,36 +843,43 @@ fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed 
     }
     fdc_obs::histogram(names::ROUTER_FANOUT_SIZE).record(groups.len() as u64);
 
-    // Scatter concurrently; each sub-request carries this request's
-    // trace context so the whole fan-out is one trace.
+    // Scatter: further groups on scoped threads, the first on this
+    // worker, which already carries the request's trace context.
     let ctx = trace::current();
     let shard_path = if route == "explain" {
         "/explain"
     } else {
         "/query"
     };
+    let call = |(shard, nodes): &(usize, Vec<u64>)| {
+        let nodes_json: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
+        let sub_body = format!(
+            "{{\"sql\":\"{}\",\"analyze\":{analyze},\"nodes\":[{}]{approx}}}",
+            json::escape(sql),
+            nodes_json.join(",")
+        );
+        (
+            *shard,
+            shard_read(shared, *shard, shard_path, Some(&sub_body)),
+        )
+    };
     let results: Vec<(usize, Result<client::ShardResponse, String>)> =
         std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
+            let rest: Vec<_> = groups
                 .iter()
-                .map(|(shard, nodes)| {
-                    let nodes_json: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-                    let sub_body = format!(
-                        "{{\"sql\":\"{}\",\"analyze\":{analyze},\"nodes\":[{}]{approx}}}",
-                        json::escape(sql),
-                        nodes_json.join(",")
-                    );
-                    let shard = *shard;
+                .skip(1)
+                .map(|group| {
                     scope.spawn(move || {
                         let _g = ctx.map(trace::activate);
-                        (
-                            shard,
-                            shard_read(shared, shard, shard_path, Some(&sub_body)),
-                        )
+                        call(group)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let first = groups.first().map(call);
+            first
+                .into_iter()
+                .chain(rest.into_iter().map(|h| h.join().unwrap()))
+                .collect()
         });
 
     // Gather: every shard must answer 200; collect its raw row chunks.

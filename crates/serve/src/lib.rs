@@ -100,7 +100,7 @@ pub use slow::{SlowEntry, SlowLog};
 
 use fdc_cube::NodeId;
 use fdc_f2db::{ApproxQuerySpec, F2db, F2dbError, WalRecord};
-use fdc_obs::httpcore::{read_request, write_response, Request, RequestError};
+use fdc_obs::httpcore::{close_unread, read_request, write_response, Request, RequestError};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
 use std::collections::VecDeque;
 use std::io::Read as _;
@@ -841,27 +841,6 @@ fn respond(
 
 fn err_body(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", json::escape(msg))
-}
-
-/// Closes a connection whose request was *not* fully read, without
-/// destroying the response: closing with unread bytes in the receive
-/// buffer sends an RST that discards the client's buffered response, so
-/// after writing the response we half-close and drain whatever the
-/// client sent (bounded in bytes and time) before dropping the socket.
-fn close_unread(mut stream: TcpStream, timeout: Duration) {
-    stream.shutdown(std::net::Shutdown::Write).ok();
-    stream.set_read_timeout(Some(timeout)).ok();
-    let mut buf = [0u8; 8192];
-    let mut total = 0usize;
-    while let Ok(n) = stream.read(&mut buf) {
-        if n == 0 {
-            break;
-        }
-        total += n;
-        if total > (4 << 20) {
-            break;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -263,10 +263,15 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ShipChunk, ShipError> {
     let checkpoint_seq = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
     let first_seq = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
     let count = u32::from_le_bytes(bytes[34..38].try_into().unwrap()) as usize;
-    let mut frames = Vec::with_capacity(count);
+    // `count` is untrusted: preallocate only what the remaining bytes
+    // can hold, so a forged count is a typed error, not an abort.
+    let mut frames =
+        Vec::with_capacity(count.min((bytes.len() - CHUNK_HEADER) / record::FRAME_HEADER));
     let mut offset = CHUNK_HEADER;
     for i in 0..count {
-        let seq = first_seq + i as u64;
+        let seq = first_seq
+            .checked_add(i as u64)
+            .ok_or_else(|| corrupt(format!("frame {i} of {count} overflows seq {first_seq}")))?;
         let frame = record::decode_frame(&bytes[offset..], Some(seq)).map_err(|e| match e {
             record::FrameError::TruncatedHeader | record::FrameError::TruncatedBody => truncated(
                 format!("chunk ends mid-frame at offset {offset} (frame {i} of {count})"),
@@ -484,6 +489,33 @@ mod tests {
                 "cut at {cut}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn forged_frame_count_is_a_typed_error_not_an_abort() {
+        let mut bytes = encode_chunk(&ShipChunk {
+            durable_seq: 1,
+            checkpoint_seq: 0,
+            frames: Vec::new(),
+        });
+        assert_eq!(bytes.len(), CHUNK_HEADER);
+        bytes[34..38].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_chunk(&bytes).unwrap_err();
+        assert!(
+            matches!(err, ShipError::Truncated { .. } | ShipError::Corrupt { .. }),
+            "{err:?}"
+        );
+        // A frame whose successor's sequence would overflow u64.
+        let mut last = encode_chunk(&ShipChunk {
+            durable_seq: u64::MAX,
+            checkpoint_seq: 0,
+            frames: vec![(u64::MAX, b"x".to_vec())],
+        });
+        last[34..38].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            decode_chunk(&last).unwrap_err(),
+            ShipError::Corrupt { .. }
+        ));
     }
 
     #[test]
