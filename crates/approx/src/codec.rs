@@ -108,17 +108,19 @@ pub fn decode_plane(bytes: &[u8], fit: fdc_forecast::FitOptions) -> Result<Appro
     let bounds = d.get_f64_vec()?;
     let strata = ScaleStrata::from_bounds(bounds);
 
+    // Counts are untrusted: every preallocation is capped by how many
+    // entries of their smallest encoding the remaining bytes can hold.
     let node_count = d.get_len()?;
-    let mut nodes = HashMap::with_capacity(node_count);
+    let mut nodes = HashMap::with_capacity(d.capped(node_count, 16));
     for _ in 0..node_count {
         let id = d.get_u64()? as NodeId;
         let stratum_count = d.get_len()?;
-        let mut reservoirs = Vec::with_capacity(stratum_count);
+        let mut reservoirs = Vec::with_capacity(d.capped(stratum_count, 24));
         for _ in 0..stratum_count {
             let cap = d.get_u64()? as usize;
             let population = d.get_u64()?;
             let member_count = d.get_len()?;
-            let mut members = Vec::with_capacity(member_count);
+            let mut members = Vec::with_capacity(d.capped(member_count, 16));
             for _ in 0..member_count {
                 let priority = d.get_u64()?;
                 let cell = d.get_u64()? as NodeId;
@@ -133,7 +135,8 @@ pub fn decode_plane(bytes: &[u8], fit: fdc_forecast::FitOptions) -> Result<Appro
     }
 
     let model_count = d.get_len()?;
-    let mut models: HashMap<NodeId, Box<dyn ForecastModel>> = HashMap::with_capacity(model_count);
+    let mut models: HashMap<NodeId, Box<dyn ForecastModel>> =
+        HashMap::with_capacity(d.capped(model_count, 33));
     for _ in 0..model_count {
         let cell = d.get_u64()? as NodeId;
         let state = get_model_state(&mut d)?;
@@ -235,6 +238,12 @@ impl<'a> Cursor<'a> {
 
     fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// `count`, capped by how many items of at least `item_bytes` bytes
+    /// the rest of the input can hold.
+    fn capped(&self, count: usize, item_bytes: usize) -> usize {
+        count.min(self.buf.len() / item_bytes)
     }
 
     fn get_len(&mut self) -> Result<usize> {
@@ -372,5 +381,25 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(decode_plane(&bad_magic, FitOptions::default()).is_err());
+    }
+
+    #[test]
+    fn forged_node_count_is_a_typed_error_not_an_abort() {
+        // A valid header, options, spec and strata bounds, then a node
+        // count of 2^40 and one stray byte: 104 bytes that must not
+        // size an allocation.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        for v in [4u64, 16, 7, 100, 64] {
+            put_u64(&mut bytes, v);
+        }
+        put_f64(&mut bytes, 0.95);
+        put_spec(&mut bytes, &ModelSpec::Ses);
+        put_f64_slice(&mut bytes, &[1.0, 10.0, 100.0, 1000.0]);
+        put_u64(&mut bytes, 1 << 40);
+        bytes.push(0);
+        assert_eq!(bytes.len(), 104);
+        let err = decode_plane(&bytes, FitOptions::default()).err();
+        assert!(matches!(err, Some(ApproxError::Codec(_))), "{err:?}");
     }
 }

@@ -1,7 +1,6 @@
 //! A minimal std-only HTTP/1.1 exporter.
 //!
-//! [`ObsServer`] serves four fixed GET routes from a
-//! `std::net::TcpListener` accept loop on one background thread:
+//! [`ObsServer`] serves four fixed GET routes:
 //!
 //! | route          | body                                            |
 //! |----------------|-------------------------------------------------|
@@ -10,113 +9,77 @@
 //! | `/events?n=N`  | last `N` journal events as a JSON array         |
 //! | `/snapshot`    | the registry snapshot as JSON                   |
 //!
-//! Requests are read with the shared HTTP/1.1 reader
-//! ([`crate::export::httpcore`]) — the same module `fdc-serve` builds
-//! its worker-pool server on, so the two network surfaces cannot drift
-//! apart in how they parse a request. Connections are served
-//! sequentially with short read timeouts — this is a scrape endpoint,
-//! not a web server. Shutdown sets a flag and wakes the accept loop by
-//! connecting to the listener's own port.
+//! It is the workspace's one server ([`crate::export::httpcore`]) with
+//! a single worker, one request per connection and short read timeouts
+//! — this is a scrape endpoint, not a web server. Each scrape is counted
+//! under `obs.http.requests{path}`.
 
 use crate::events::{journal, Event};
-use crate::export::httpcore::{read_request, split_target, write_response};
+use crate::export::httpcore::{Connections, Handler, HttpServer, Request, Response, ServerConfig};
 use crate::export::prom::encode_prometheus;
 use crate::metrics::registry;
 use crate::names;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Default number of events returned by `/events` without a `n=` query.
 const DEFAULT_EVENT_COUNT: usize = 64;
 
 /// The running exporter. Dropping (or calling [`ObsServer::shutdown`])
-/// stops the accept loop and joins its thread.
+/// stops the server and joins its threads.
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    http: HttpServer<Exporter>,
 }
 
 impl std::fmt::Debug for ObsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish()
     }
 }
 
 impl ObsServer {
     /// Binds `127.0.0.1:port` (`port` 0 picks an ephemeral port) and
-    /// starts serving on a background thread.
+    /// starts serving on background threads.
     pub fn bind(port: u16) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("fdc-obs-http".to_string())
-            .spawn(move || accept_loop(listener, &stop_flag))?;
+        let config = ServerConfig {
+            name: "fdc-obs-http",
+            workers: 1,
+            queue_depth: 64,
+            deadline: Duration::from_secs(5),
+            // The exporter accepts no bodies; 1 KiB covers any scrape.
+            max_body: 1024,
+            read_timeout: Duration::from_millis(500),
+            trace_sample: 0.0,
+            metrics: None,
+        };
+        let http = HttpServer::start(port, Connections::OneRequest, config, |_| Exporter)?;
         journal().publish(Event::ServeStart {
-            addr: addr.to_string(),
+            addr: http.addr().to_string(),
         });
-        Ok(ObsServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        Ok(ObsServer { http })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.addr.port()
+        self.addr().port()
     }
 
-    /// Stops the accept loop and joins the server thread.
+    /// Stops the server and joins its threads.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept() so the loop observes the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.http.shutdown();
     }
 }
 
 impl Drop for ObsServer {
     fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let _ = serve_connection(stream);
+        self.http.shutdown();
     }
 }
 
@@ -129,73 +92,45 @@ fn parse_event_count(query: &str) -> usize {
         .unwrap_or(DEFAULT_EVENT_COUNT)
 }
 
-fn serve_connection(mut stream: TcpStream) -> std::io::Result<()> {
-    // The exporter accepts no bodies; 1 KiB covers any scrape head.
-    let request = match read_request(&mut stream, 1024, Duration::from_millis(500)) {
-        Ok(r) => r,
-        Err(_) => {
-            return write_response(
-                &mut stream,
-                "400 Bad Request",
-                "text/plain",
-                "malformed request\n",
-                &[],
-            );
-        }
-    };
-    if request.method != "GET" {
-        return write_response(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain",
-            "only GET is supported\n",
-            &[("Allow", "GET")],
-        );
-    }
-    let (path, query) = split_target(&request.target);
-    // One bounded-cardinality label: the route (or "other" for misses).
-    let route = match path {
-        "/metrics" | "/healthz" | "/events" | "/snapshot" => path,
-        _ => "other",
-    };
-    registry()
-        .counter_with(names::OBS_HTTP_REQUESTS, &[("path", route)])
-        .incr();
+/// The exporter's route table.
+struct Exporter;
 
-    match path {
-        "/metrics" => {
-            let body = encode_prometheus(&registry().snapshot());
-            write_response(
-                &mut stream,
-                "200 OK",
+impl Handler for Exporter {
+    fn handle(&self, request: &Request, _remaining: Duration) -> Response {
+        if request.method != "GET" {
+            return Response::new("method", 405, "text/plain", "only GET is supported\n")
+                .with_header("Allow", "GET");
+        }
+        let (path, query) = request.path_query();
+        // One bounded-cardinality label: the route (or "other" for misses).
+        let route = match path {
+            "/metrics" => "/metrics",
+            "/healthz" => "/healthz",
+            "/events" => "/events",
+            "/snapshot" => "/snapshot",
+            _ => "other",
+        };
+        registry()
+            .counter_with(names::OBS_HTTP_REQUESTS, &[("path", route)])
+            .incr();
+        let json = "application/json";
+        match route {
+            "/metrics" => Response::new(
+                route,
+                200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-                &[],
-            )
+                encode_prometheus(&registry().snapshot()),
+            ),
+            "/healthz" => Response::new(route, 200, json, "{\"status\":\"ok\"}\n"),
+            "/events" => Response::new(
+                route,
+                200,
+                json,
+                journal().recent_json(parse_event_count(query)),
+            ),
+            "/snapshot" => Response::new(route, 200, json, registry().snapshot().to_json()),
+            _ => Response::new(route, 404, "text/plain", "not found\n"),
         }
-        "/healthz" => write_response(
-            &mut stream,
-            "200 OK",
-            "application/json",
-            "{\"status\":\"ok\"}\n",
-            &[],
-        ),
-        "/events" => {
-            let n = parse_event_count(query);
-            let body = journal().recent_json(n);
-            write_response(&mut stream, "200 OK", "application/json", &body, &[])
-        }
-        "/snapshot" => {
-            let body = registry().snapshot().to_json();
-            write_response(&mut stream, "200 OK", "application/json", &body, &[])
-        }
-        _ => write_response(
-            &mut stream,
-            "404 Not Found",
-            "text/plain",
-            "not found\n",
-            &[],
-        ),
     }
 }
 
@@ -203,6 +138,7 @@ fn serve_connection(mut stream: TcpStream) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     /// Raw one-shot HTTP GET against the server, returning the full
     /// response (head + body).

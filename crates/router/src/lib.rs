@@ -42,12 +42,14 @@
 //! | `GET /healthz` | — | `200` quorum, `503` degraded |
 //! | `GET /topology` | — | `200` the serving topology + live flags |
 //!
-//! The HTTP layer is the same [`fdc_obs::httpcore`] the shards use.
-//! Client connections to the router persist (HTTP/1.1 keep-alive, with
-//! the close rules described on the scatter in `handle_forecast`);
-//! every router→shard hop is still one request per connection. The
-//! router adopts `traceparent` at ingress and propagates it on every
-//! shard hop, so one trace spans the whole fan-out.
+//! The router is the workspace's one [`fdc_obs::httpcore::HttpServer`],
+//! the same server the shards run, with this crate's route table as its
+//! handler. Client connections to the router persist (HTTP/1.1
+//! keep-alive, with the close rules and the retry-safety rule described
+//! in [`fdc_obs::httpcore`]); every router→shard hop is still one
+//! request per connection. The server adopts `traceparent` at ingress
+//! and the router propagates it on every shard hop, so one trace spans
+//! the whole fan-out.
 
 pub mod client;
 pub mod fold;
@@ -56,15 +58,17 @@ pub mod topology;
 
 pub use topology::{ShardSpec, Topology};
 
-use fdc_obs::httpcore::{write_response, Connection, Request, RequestError};
-use fdc_obs::{journal, names, trace, Event, SketchBundle, TraceContext};
+use fdc_obs::httpcore::{
+    Connections, Handler, HttpServer, Request, Response, ServerConfig, ServerMetrics,
+};
+use fdc_obs::{journal, names, trace, Event, SketchBundle};
 use fdc_serve::json;
-use std::collections::{HashMap, VecDeque};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`Router::start`].
 #[derive(Debug, Clone)]
@@ -120,27 +124,18 @@ struct PlanSite {
     shard: usize,
 }
 
-struct Conn {
-    stream: TcpStream,
-    enqueued: Instant,
-}
-
 struct Shared {
     topology: Topology,
     shards: Vec<ShardState>,
     opts: RouterOptions,
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
+    /// Set once the server has drained; stops the prober.
     stopping: AtomicBool,
     plans: Mutex<HashMap<String, Arc<Vec<PlanSite>>>>,
 }
 
 /// The running router. Stop it with [`Router::shutdown`].
 pub struct Router {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
+    http: HttpServer<Shared>,
     prober_handle: Option<JoinHandle<()>>,
 }
 
@@ -148,8 +143,21 @@ impl Router {
     /// Binds `127.0.0.1:port` (`0` picks an ephemeral port) and starts
     /// the worker pool and the health prober.
     pub fn start(topology: Topology, port: u16, opts: RouterOptions) -> std::io::Result<Router> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
+        let config = ServerConfig {
+            name: "fdc-router",
+            workers: opts.workers,
+            queue_depth: opts.queue_depth,
+            deadline: opts.deadline,
+            max_body: opts.max_body,
+            read_timeout: opts.read_timeout,
+            trace_sample: opts.trace_sample,
+            metrics: Some(ServerMetrics {
+                requests: names::ROUTER_REQUESTS,
+                latency: names::ROUTER_REQUEST_NS,
+                rejected: None,
+                queue_depth: None,
+            }),
+        };
         let shards = topology
             .shards
             .iter()
@@ -161,67 +169,43 @@ impl Router {
                 up: AtomicBool::new(true),
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let http = HttpServer::start(port, Connections::KeepAlive, config, |_| Shared {
             shards,
             opts,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             stopping: AtomicBool::new(false),
             plans: Mutex::new(HashMap::new()),
             topology,
-        });
+        })?;
+        let shared = Arc::clone(http.handler());
         journal().publish(Event::RouterStart {
-            addr: addr.to_string(),
+            addr: http.addr().to_string(),
             shards: shared.shards.len() as u64,
             topology_version: shared.topology.version,
         });
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        let prober_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fdc-router-probe".into())
-                .spawn(move || probe_loop(&shared))
-                .expect("spawn prober")
-        };
+        let prober_handle = std::thread::Builder::new()
+            .name("fdc-router-probe".into())
+            .spawn(move || probe_loop(&shared))
+            .expect("spawn prober");
         Ok(Router {
-            addr,
-            shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
+            http,
             prober_handle: Some(prober_handle),
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The topology this router serves.
     pub fn topology(&self) -> &Topology {
-        &self.shared.topology
+        &self.http.handler().topology
     }
 
     /// Stops accepting, drains the queue and joins every thread.
     pub fn shutdown(mut self) {
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        drop(TcpStream::connect(self.addr));
-        if let Some(h) = self.accept_handle.take() {
-            h.join().expect("accept thread panicked");
-        }
-        self.shared.queue_cv.notify_all();
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("worker thread panicked");
-        }
+        self.http.shutdown();
+        self.http.handler().stopping.store(true, Ordering::SeqCst);
         if let Some(h) = self.prober_handle.take() {
             h.join().expect("prober thread panicked");
         }
@@ -276,173 +260,29 @@ fn mark_up(shared: &Shared, idx: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Accept / worker loops (the serve pattern, without the write batcher)
+// The handler
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        // Responses go out in one write; without Nagle's delay a kept
-        // connection's next answer does not wait on the client's ACK.
-        stream.set_nodelay(true).ok();
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.opts.queue_depth {
-            drop(queue);
-            fdc_obs::counter_with(
-                names::ROUTER_REQUESTS,
-                &[("route", "admission"), ("status", "429")],
-            )
-            .incr();
-            stream
-                .set_write_timeout(Some(Duration::from_millis(500)))
-                .ok();
-            write_response(
-                &mut stream,
-                "429 Too Many Requests",
-                "application/json",
-                "{\"error\":\"router queue full\"}",
-                &[("Retry-After", "1")],
-            )
-            .ok();
-            continue;
-        }
-        queue.push_back(Conn {
-            stream,
-            enqueued: Instant::now(),
-        });
-        drop(queue);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break conn;
-                }
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = next;
-            }
-        };
-        handle_connection(shared, conn);
-    }
-}
-
-/// Serves one client connection until it closes, a request at a time;
-/// the connection model and its close rules are described on
-/// [`handle_forecast`].
-fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn { stream, enqueued } = conn;
-    let mut conn = Connection::new(stream);
-    // The first request's deadline counts from its enqueueing, a later
-    // one's from the moment its first byte was seen.
-    let mut arrived = enqueued;
-    loop {
-        if !serve_request(shared, &mut conn, arrived) {
-            conn.close(CLOSE_LINGER);
-            return;
-        }
-        if !conn.await_request(shared.opts.read_timeout, || must_yield(shared)) {
-            return;
-        }
-        arrived = Instant::now();
-    }
-}
-
-/// Whether a worker should give its connection up: the router drains,
-/// or another connection waits in the queue for a worker.
-fn must_yield(shared: &Shared) -> bool {
-    shared.stopping.load(Ordering::SeqCst) || !shared.queue.lock().unwrap().is_empty()
-}
-
-/// How long a closing connection waits for the client to close its
-/// side, so a reset cannot destroy the last response.
-const CLOSE_LINGER: Duration = Duration::from_millis(250);
-
-/// Reads, routes and answers one request; `true` when the connection
-/// stays open for another.
-fn serve_request(shared: &Shared, conn: &mut Connection, arrived: Instant) -> bool {
-    if arrived.elapsed() > shared.opts.deadline {
-        respond(
-            conn,
-            "admission",
-            503,
-            err_body("deadline exceeded while queued"),
-            &[],
-        );
-        return false;
-    }
-    let request = match conn.read_request(shared.opts.max_body, shared.opts.read_timeout) {
-        Ok(r) => r,
-        Err(RequestError::BodyTooLarge(_)) => {
-            respond(
-                conn,
-                "malformed",
-                413,
-                err_body("request body too large"),
-                &[],
-            );
-            return false;
-        }
-        Err(e) => {
-            respond(conn, "malformed", 400, err_body(&e.to_string()), &[]);
-            return false;
-        }
-    };
-    let started = Instant::now();
-    let ctx = request
-        .trace_context()
-        .unwrap_or_else(|| TraceContext::root(trace::should_sample(shared.opts.trace_sample)));
-    let _ctx_guard = trace::activate(ctx);
-    let (route, status, body, extra) = {
-        let _span = fdc_obs::span!("router.request");
-        route_request(shared, &request)
-    };
-    let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-    let content_type = if route == "metrics" {
-        "text/plain; version=0.0.4"
-    } else {
-        "application/json"
-    };
-    fdc_obs::counter_with(
-        names::ROUTER_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    let keep = !request.wants_close() && !must_yield(shared);
-    let written = conn.write_response(
-        status_line(status),
-        content_type,
-        body.as_bytes(),
-        &extra_refs,
-        !keep,
-    );
-    fdc_obs::histogram_with(names::ROUTER_REQUEST_NS, &[("route", route)])
-        .record_duration(started.elapsed());
-    keep && written.is_ok()
-}
-
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
+
+impl Handler for Shared {
+    fn handle(&self, request: &Request, _remaining: Duration) -> Response {
+        let _span = fdc_obs::span!("router.request");
+        let (route, status, body, headers) = route_request(self, request);
+        let content_type = if route == "metrics" {
+            "text/plain; version=0.0.4"
+        } else {
+            "application/json"
+        };
+        Response {
+            route,
+            status,
+            content_type,
+            body: body.into_bytes(),
+            headers,
+        }
+    }
+}
 
 fn route_request(shared: &Shared, request: &Request) -> Routed {
     let (path, _query) = request.path_query();
@@ -469,46 +309,6 @@ fn route_request(shared: &Shared, request: &Request) -> Routed {
         ),
         _ => ("unknown", 404, err_body("no such route"), no_extra()),
     }
-}
-
-fn status_line(status: u16) -> &'static str {
-    match status {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        413 => "413 Payload Too Large",
-        421 => "421 Misdirected Request",
-        429 => "429 Too Many Requests",
-        500 => "500 Internal Server Error",
-        502 => "502 Bad Gateway",
-        503 => "503 Service Unavailable",
-        _ => "500 Internal Server Error",
-    }
-}
-
-/// Answers with `Connection: close`; the caller then closes.
-fn respond(
-    conn: &mut Connection,
-    route: &'static str,
-    status: u16,
-    body: String,
-    extra: &[(&str, &str)],
-) {
-    fdc_obs::counter_with(
-        names::ROUTER_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    conn.write_response(
-        status_line(status),
-        "application/json",
-        body.as_bytes(),
-        extra,
-        true,
-    )
-    .ok();
 }
 
 fn err_body(msg: &str) -> String {
@@ -783,25 +583,6 @@ fn approx_fragment(doc: &json::Value) -> Result<String, String> {
 /// a scoped thread for each further group, so a single-shard query (the
 /// common case) spawns no thread, and an empty plan makes no call.
 /// Every call carries the request's trace context.
-///
-/// **Connections.** The worker answers on a persistent client
-/// connection (HTTP/1.1 keep-alive, [`Connection`]): after an answer it
-/// waits, in slices of at most [`fdc_obs::httpcore::IDLE_SLICE`], for
-/// the next request on the same connection. It closes the connection
-/// when the client asks (`Connection: close`, or HTTP/1.0), after a
-/// malformed request (`400`/`413`), after an answer while the router
-/// drains or another connection waits in the queue, and while idle —
-/// once `read_timeout` passes, or as soon as the router drains or
-/// another connection waits. So neither idle nor busy clients hold
-/// every worker while others wait. An answer carries `Connection:
-/// close` exactly when the worker closes after it. A later request's deadline counts from its first byte;
-/// the `429` admission still happens per connection, at accept.
-///
-/// **Retry safety.** The idle wait only peeks, so the worker never
-/// closes a connection after reading request bytes it has not
-/// answered: a request that fails on a reused connection before any
-/// answer byte arrived was never routed, and a client may retry it
-/// once on a fresh connection — even a `POST /insert`.
 fn handle_forecast(shared: &Shared, body: &[u8], route: &'static str) -> Routed {
     let no_extra = Vec::new;
     let text = match std::str::from_utf8(body) {
@@ -965,13 +746,30 @@ type RowChunks<'a> = (&'a str, Vec<(u64, &'a str)>);
 /// Splits a shard's `{"...":...,"rows":[{...},{...}]}` answer into its
 /// verbatim row chunks, keyed by each chunk's leading `"node":N`.
 /// Returns the body prefix up to and including `"rows":[` (horizon and
-/// friends ride along untouched) and the chunks. String-aware — labels
-/// may contain any escaped character.
+/// friends ride along untouched) and the chunks.
 fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
     let marker = "\"rows\":[";
     let start = body.find(marker).ok_or("answer has no rows array")? + marker.len();
-    let bytes = body.as_bytes();
     let mut rows = Vec::new();
+    for chunk in array_objects(body, start)? {
+        let node = chunk
+            .strip_prefix("{\"node\":")
+            .and_then(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse::<u64>().ok()
+            })
+            .ok_or("row chunk has no leading node id")?;
+        rows.push((node, chunk));
+    }
+    Ok((&body[..start], rows))
+}
+
+/// The verbatim objects of the JSON array whose elements start at byte
+/// `start` of `text` (just past its `[`). String-aware — labels may
+/// contain any escaped character.
+fn array_objects(text: &str, start: usize) -> Result<Vec<&str>, String> {
+    let bytes = text.as_bytes();
+    let mut objects = Vec::new();
     let mut i = start;
     loop {
         while i < bytes.len() && (bytes[i] as char).is_whitespace() {
@@ -980,17 +778,16 @@ fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
         if i >= bytes.len() {
             return Err("unterminated rows array".into());
         }
-        if bytes[i] == b']' {
-            break;
+        match bytes[i] {
+            b']' => break,
+            b',' => {
+                i += 1;
+                continue;
+            }
+            b'{' => {}
+            _ => return Err("rows array holds a non-object".into()),
         }
-        if bytes[i] == b',' {
-            i += 1;
-            continue;
-        }
-        if bytes[i] != b'{' {
-            return Err("rows array holds a non-object".into());
-        }
-        let chunk_start = i;
+        let object_start = i;
         let mut depth = 0usize;
         let mut in_str = false;
         let mut escaped = false;
@@ -1023,17 +820,9 @@ fn split_rows(body: &str) -> Result<RowChunks<'_>, String> {
         if depth != 0 {
             return Err("unbalanced row object".into());
         }
-        let chunk = &body[chunk_start..i];
-        let node = chunk
-            .strip_prefix("{\"node\":")
-            .and_then(|rest| {
-                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                digits.parse::<u64>().ok()
-            })
-            .ok_or("row chunk has no leading node id")?;
-        rows.push((node, chunk));
+        objects.push(&text[object_start..i]);
     }
-    Ok((&body[..start], rows))
+    Ok(objects)
 }
 
 // ---------------------------------------------------------------------------
@@ -1184,68 +973,12 @@ fn insert_failure_with(
 }
 
 /// Splits the top-level `"rows"` array of an insert body into verbatim
-/// row chunks (same string-aware scan as [`split_rows`], without the
-/// node-id requirement).
+/// row chunks.
 fn split_insert_rows(text: &str) -> Result<Vec<&str>, String> {
     let marker_pos = text.find("\"rows\"").ok_or("body has no rows array")?;
     let after = &text[marker_pos + "\"rows\"".len()..];
     let bracket = after.find('[').ok_or("\"rows\" must be an array")?;
-    let start = marker_pos + "\"rows\"".len() + bracket + 1;
-    let bytes = text.as_bytes();
-    let mut rows = Vec::new();
-    let mut i = start;
-    loop {
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("unterminated rows array".into());
-        }
-        match bytes[i] {
-            b']' => break,
-            b',' => {
-                i += 1;
-                continue;
-            }
-            b'{' => {}
-            _ => return Err("rows array holds a non-object".into()),
-        }
-        let chunk_start = i;
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut escaped = false;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if b == b'\\' {
-                    escaped = true;
-                } else if b == b'"' {
-                    in_str = false;
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        if depth != 0 {
-            return Err("unbalanced row object".into());
-        }
-        rows.push(&text[chunk_start..i]);
-    }
-    Ok(rows)
+    array_objects(text, marker_pos + "\"rows\"".len() + bracket + 1)
 }
 
 /// The placement key of one insert row chunk: its first `key_dims`

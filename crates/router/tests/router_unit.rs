@@ -724,3 +724,25 @@ fn empty_single_group_and_two_group_plans_route_correctly() {
     assert_eq!(b.count_requests_containing("POST /query "), 1);
     router.shutdown();
 }
+
+#[test]
+fn forwarded_shard_conflict_keeps_its_status_line() {
+    // A read-only follower answers a write `409`; the router forwards
+    // the status, and its status line must name it, not a generic 500.
+    let shard = FakeShard::start(409, None);
+    let router =
+        Router::start(topology_of(&[("conflict", shard.addr)]), 0, quiet_options()).unwrap();
+    let mut conn = connect(router.addr());
+    conn.get_mut()
+        .write_all(&raw_request(
+            "POST",
+            "/insert",
+            "{\"dims\":[\"k\"],\"value\":1.5}",
+            "Connection: close\r\n",
+        ))
+        .unwrap();
+    let mut status_line = String::new();
+    conn.read_line(&mut status_line).unwrap();
+    assert_eq!(status_line, "HTTP/1.1 409 Conflict\r\n");
+    router.shutdown();
+}

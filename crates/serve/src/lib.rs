@@ -2,18 +2,17 @@
 //!
 //! Wraps an embedded [`F2db`] in a small, std-only HTTP/1.1 server so a
 //! deployed model configuration can be queried and maintained over the
-//! network. The architecture is the classic bounded-queue worker pool:
+//! network:
 //!
-//! * an **accept thread** owns the listener and performs admission
-//!   control — when the bounded connection queue is full, the request is
-//!   answered `429 Too Many Requests` (with `Retry-After`) immediately
-//!   instead of queueing unboundedly;
-//! * a fixed pool of **worker threads** pops connections, enforces the
-//!   per-request deadline (a connection that waited in the queue longer
-//!   than the deadline is answered `503` without doing the work), parses
-//!   the request with the same [`fdc_obs::httpcore`] reader the
-//!   observability exporter uses, and dispatches on the route table
-//!   below;
+//! * the server is the workspace's one [`fdc_obs::httpcore::HttpServer`]
+//!   — accept thread, bounded connection queue answering `429` (with
+//!   `Retry-After`) when full, a fixed worker pool from
+//!   [`ServeOptions::workers`], the queued-deadline `503`, request
+//!   reading (`400`/`413`), trace ingress, the
+//!   `serve.http.requests{route,status}` counter and the
+//!   `serve.request.ns{route}` latency histogram. It answers one request
+//!   per connection: every answer carries `Connection: close`. This
+//!   crate supplies the route table below as its handler;
 //! * a **flusher thread** micro-batches writes: concurrent `POST
 //!   /insert` requests deposit resolved rows into the [`Batcher`] and
 //!   block; after one coalescing window the flusher commits everything
@@ -32,6 +31,7 @@
 //! | `POST /plan` | `{"sql": "...", "key_dims": n?}` | `200` per-node placement keys |
 //! | `GET /sketch` | — | `200` binary mergeable-sketch bundle |
 //! | `GET /stats` | — | `200` engine + server counters |
+//! | `GET /metrics` | — | `200` Prometheus text exposition of the registry |
 //! | `GET /healthz` | — | `200` (`503` on a lagging follower) |
 //! | `GET /slow` | — | `200` slow-query journal (auto-`EXPLAIN` capture) |
 //! | `GET /wal/fetch?after=N` | — | `200` binary ship chunk (primary side of replication) |
@@ -100,16 +100,16 @@ pub use slow::{SlowEntry, SlowLog};
 
 use fdc_cube::NodeId;
 use fdc_f2db::{ApproxQuerySpec, F2db, F2dbError, WalRecord};
-use fdc_obs::httpcore::{close_unread, read_request, write_response, Request, RequestError};
+use fdc_obs::httpcore::{
+    Backlog, Connections, Handler, HttpServer, Request, Response, ServerConfig, ServerMetrics,
+};
 use fdc_obs::{journal, names, trace, Event, TraceContext};
-use std::collections::VecDeque;
 use std::io::Read as _;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -307,20 +307,12 @@ pub fn open_engine(
     ))
 }
 
-/// A connection waiting for a worker.
-struct Conn {
-    stream: TcpStream,
-    enqueued: Instant,
-}
-
-/// State shared by the accept thread, workers and flusher.
+/// The route table's state, shared by the workers and the flusher.
 struct Shared {
     db: Arc<F2db>,
     opts: ServeOptions,
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cv: Condvar,
-    stopping: AtomicBool,
-    drained: AtomicU64,
+    /// The server's connection queue, reported by `/stats`.
+    backlog: Backlog,
     batcher: Batcher,
     /// The slow-request ring behind `GET /slow`.
     slow: SlowLog,
@@ -333,10 +325,7 @@ struct Shared {
 /// with [`Server::shutdown`] — dropping without a shutdown leaks the
 /// threads (they park on the queue) but keeps the process safe.
 pub struct Server {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
+    http: HttpServer<Shared>,
     flusher_handle: Option<JoinHandle<(u64, u64)>>,
 }
 
@@ -367,65 +356,62 @@ impl Server {
         opts: ServeOptions,
         replica: Option<Arc<Replica>>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, port))?;
-        let addr = listener.local_addr()?;
+        let config = ServerConfig {
+            name: "fdc-serve",
+            workers: opts.workers,
+            queue_depth: opts.queue_depth,
+            deadline: opts.deadline,
+            max_body: opts.max_body,
+            read_timeout: opts.read_timeout,
+            trace_sample: opts.trace_sample,
+            metrics: Some(ServerMetrics {
+                requests: names::SERVE_REQUESTS,
+                latency: names::SERVE_REQUEST_NS,
+                rejected: Some(names::SERVE_REJECTED),
+                queue_depth: Some(names::SERVE_QUEUE_DEPTH),
+            }),
+        };
         let slow = SlowLog::new(opts.slow_threshold, opts.slow_log_cap);
-        let shared = Arc::new(Shared {
+        // One request per connection: keep-alive saves CPU per query but
+        // raised peak memory 37–62 % under the dashboard benchmark's
+        // capacity phase (ROADMAP item 2).
+        let http = HttpServer::start(port, Connections::OneRequest, config, |backlog| Shared {
             db,
             opts,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            stopping: AtomicBool::new(false),
-            drained: AtomicU64::new(0),
+            backlog,
             batcher: Batcher::default(),
             slow,
             replica,
-        });
+        })?;
+        let shared = Arc::clone(http.handler());
         journal().publish(Event::ServeStart {
-            addr: addr.to_string(),
+            addr: http.addr().to_string(),
         });
-
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let worker_handles = (0..shared.opts.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        let flusher_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                shared
-                    .batcher
-                    .run_flusher(&shared.db, shared.opts.coalesce_window)
-            })
-        };
+        let flusher_handle = std::thread::spawn(move || {
+            shared
+                .batcher
+                .run_flusher(&shared.db, shared.opts.coalesce_window)
+        });
         Ok(Server {
-            addr,
-            shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
+            http,
             flusher_handle: Some(flusher_handle),
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The engine this server fronts.
     pub fn db(&self) -> &Arc<F2db> {
-        &self.shared.db
+        &self.http.handler().db
     }
 
     /// The slow-query log backing `GET /slow` — the shell's `\slow`
     /// meta command reads it in-process instead of scraping itself.
     pub fn slow_log(&self) -> &SlowLog {
-        &self.shared.slow
+        &self.http.handler().slow
     }
 
     /// Gracefully drains and stops the server: stop accepting → answer
@@ -433,38 +419,29 @@ impl Server {
     /// rows → `maintain` → persist catalog + pending sidecar (when
     /// configured) → publish the `ServeShutdown` journal event.
     pub fn shutdown(mut self) -> Result<ShutdownReport, F2dbError> {
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        // Unblock the accept thread with a no-op connection.
-        drop(TcpStream::connect(self.addr));
-        if let Some(h) = self.accept_handle.take() {
-            h.join().expect("accept thread panicked");
-        }
-        // Workers drain the queue, then observe `stopping` and exit.
-        self.shared.queue_cv.notify_all();
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("worker thread panicked");
-        }
+        let addr = self.addr();
+        let drained_requests = self.http.shutdown();
+        let shared = Arc::clone(self.http.handler());
         // No depositor is left; whatever is still buffered commits now.
-        let flushed_rows = self.shared.batcher.flush_once(&self.shared.db);
-        self.shared.batcher.stop();
+        let flushed_rows = shared.batcher.flush_once(&shared.db);
+        shared.batcher.stop();
         if let Some(h) = self.flusher_handle.take() {
             h.join().expect("flusher thread panicked");
         }
         // An unpromoted follower stops its fetch loop and leaves its
         // state exactly as replicated: no maintain, no catalog save —
         // the local log *is* the state, and a restart replays it.
-        if let Some(replica) = &self.shared.replica {
+        if let Some(replica) = &shared.replica {
             replica.seal();
         }
-        if self.shared.db.is_read_only() {
-            let drained_requests = self.shared.drained.load(Ordering::SeqCst);
+        if shared.db.is_read_only() {
             journal().publish(Event::ServeShutdown {
-                addr: self.addr.to_string(),
+                addr: addr.to_string(),
                 drained_requests,
                 flushed_rows,
             });
             return Ok(ShutdownReport {
-                addr: self.addr,
+                addr,
                 drained_requests,
                 flushed_rows,
                 refitted: 0,
@@ -473,14 +450,14 @@ impl Server {
                 wal_checkpoint_seq: None,
             });
         }
-        let refitted = self.shared.db.maintain()?;
+        let refitted = shared.db.maintain()?;
         let mut saved_catalog = false;
         let mut saved_pending_rows = 0;
-        if let Some(path) = self.shared.opts.catalog_path.clone() {
-            self.shared.db.save_catalog(&path)?;
-            let pending = self.shared.db.pending_rows();
+        if let Some(path) = shared.opts.catalog_path.clone() {
+            shared.db.save_catalog(&path)?;
+            let pending = shared.db.pending_rows();
             saved_pending_rows = pending.len();
-            if self.shared.db.wal().is_some() {
+            if shared.db.wal().is_some() {
                 // The checkpoint container already carries the pending
                 // rows; a sidecar would only invite a double apply. An
                 // old one left over from the pre-WAL era is folded into
@@ -492,15 +469,14 @@ impl Server {
             }
             saved_catalog = true;
         }
-        let wal_checkpoint_seq = self.shared.db.wal_stats().map(|s| s.checkpoint_seq);
-        let drained_requests = self.shared.drained.load(Ordering::SeqCst);
+        let wal_checkpoint_seq = shared.db.wal_stats().map(|s| s.checkpoint_seq);
         journal().publish(Event::ServeShutdown {
-            addr: self.addr.to_string(),
+            addr: addr.to_string(),
             drained_requests,
             flushed_rows,
         });
         Ok(ShutdownReport {
-            addr: self.addr,
+            addr,
             drained_requests,
             flushed_rows,
             refitted,
@@ -589,254 +565,60 @@ pub fn restore_pending(db: &F2db, catalog_path: &Path) -> Result<usize, F2dbErro
 }
 
 // ---------------------------------------------------------------------------
-// Accept / worker loops
+// The handler
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            // The shutdown wake-up connection (or a late client); the
-            // listener closes when this loop returns.
-            return;
-        }
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.opts.queue_depth {
-            drop(queue);
-            fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "queue_full")]).incr();
-            fdc_obs::counter_with(
-                names::SERVE_REQUESTS,
-                &[("route", "admission"), ("status", "429")],
-            )
-            .incr();
-            stream
-                .set_write_timeout(Some(Duration::from_millis(500)))
-                .ok();
-            write_response(
-                &mut stream,
-                "429 Too Many Requests",
-                "application/json",
-                "{\"error\":\"connection queue full\"}",
-                &[("Retry-After", "1")],
-            )
-            .ok();
-            close_unread(stream, Duration::from_millis(250));
-            continue;
-        }
-        queue.push_back(Conn {
-            stream,
-            enqueued: Instant::now(),
-        });
-        fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(queue.len() as i64);
-        drop(queue);
-        shared.queue_cv.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    fdc_obs::gauge(names::SERVE_QUEUE_DEPTH).set(queue.len() as i64);
-                    break conn;
-                }
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (next, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = next;
-            }
-        };
-        if shared.stopping.load(Ordering::SeqCst) {
-            shared.drained.fetch_add(1, Ordering::SeqCst);
-        }
-        handle_connection(shared, conn);
-    }
-}
-
-fn handle_connection(shared: &Shared, conn: Conn) {
-    let Conn {
-        mut stream,
-        enqueued,
-    } = conn;
-    let queued_for = enqueued.elapsed();
-    if queued_for > shared.opts.deadline {
-        fdc_obs::counter_with(names::SERVE_REJECTED, &[("reason", "deadline")]).incr();
-        respond(
-            &mut stream,
-            "admission",
-            503,
-            err_body("deadline exceeded while queued"),
-            &[],
-        );
-        close_unread(stream, Duration::from_millis(500));
-        return;
-    }
-    let request = match read_request(&mut stream, shared.opts.max_body, shared.opts.read_timeout) {
-        Ok(r) => r,
-        Err(RequestError::BodyTooLarge(_)) => {
-            respond(
-                &mut stream,
-                "malformed",
-                413,
-                err_body("request body too large"),
-                &[],
-            );
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
-        Err(e) => {
-            respond(&mut stream, "malformed", 400, err_body(&e.to_string()), &[]);
-            close_unread(stream, Duration::from_millis(500));
-            return;
-        }
-    };
-    let started = Instant::now();
-    // Request ingress is where a trace is born (or adopted): a valid
-    // `traceparent` header continues the caller's trace with the
-    // caller's sampling decision; anything else mints a fresh root,
-    // head-sampled at `ServeOptions::trace_sample`. The guard scopes
-    // the context to this request on this worker thread.
-    let ctx = request
-        .trace_context()
-        .unwrap_or_else(|| TraceContext::root(trace::should_sample(shared.opts.trace_sample)));
-    let _ctx_guard = trace::activate(ctx);
-    // The one binary route: ship chunks go out via
-    // `write_response_bytes`, outside the string-bodied route table.
-    if request.method == "GET" && request.path_query().0 == "/wal/fetch" {
-        {
-            let _span = fdc_obs::span!("serve.request");
-            handle_wal_fetch(shared, &mut stream, request.path_query().1);
-        }
-        record_latency("wal_fetch", started.elapsed(), ctx);
-        return;
-    }
-    // The other binary route: the mergeable-sketch bundle a router
-    // folds into a fleet-wide view.
-    if request.method == "GET" && request.path_query().0 == "/sketch" {
-        {
-            let _span = fdc_obs::span!("serve.request");
-            handle_sketch(shared, &mut stream);
-        }
-        record_latency("sketch", started.elapsed(), ctx);
-        return;
-    }
-    let (route, status, body, extra) = {
+impl Handler for Shared {
+    fn handle(&self, request: &Request, remaining: Duration) -> Response {
         let _span = fdc_obs::span!("serve.request");
-        let remaining = shared.opts.deadline.saturating_sub(queued_for);
-        route_request(shared, &request, remaining)
-    };
-    let extra_refs: Vec<(&str, &str)> = extra.iter().map(|(n, v)| (*n, v.as_str())).collect();
-    respond(&mut stream, route, status, body, &extra_refs);
-    let elapsed = started.elapsed();
-    record_latency(route, elapsed, ctx);
-    maybe_capture_slow(shared, &request, route, status, elapsed, ctx);
-}
-
-/// Records a request's latency into the per-route histogram; sampled
-/// requests attach their trace id, so `/metrics` can emit the family's
-/// worst-of-window observation as an OpenMetrics exemplar.
-fn record_latency(route: &'static str, elapsed: Duration, ctx: TraceContext) {
-    let h = fdc_obs::histogram_with(names::SERVE_REQUEST_NS, &[("route", route)]);
-    if ctx.sampled {
-        h.record_duration_with_trace(elapsed, ctx.trace_id);
-    } else {
-        h.record_duration(elapsed);
+        route_request(self, request, remaining)
     }
-}
 
-/// After the response is on the wire: when the request ran past the
-/// slow threshold, capture the investigation context — re-running
-/// `EXPLAIN ANALYZE` for statement routes (off the client's critical
-/// path, on the worker that just went slow), or snapshotting the
-/// WAL/batcher wait state for writes — into the bounded slow log.
-fn maybe_capture_slow(
-    shared: &Shared,
-    request: &Request,
-    route: &'static str,
-    status: u16,
-    elapsed: Duration,
-    ctx: TraceContext,
-) {
-    if elapsed < shared.slow.threshold() {
-        return;
+    /// When the request ran past the slow threshold, capture the
+    /// investigation context — re-running `EXPLAIN ANALYZE` for
+    /// statement routes (off the client's critical path, on the worker
+    /// that just went slow), or snapshotting the WAL/batcher wait state
+    /// for writes — into the bounded slow log.
+    fn after(&self, request: &Request, response: &Response, elapsed: Duration) {
+        if elapsed < self.slow.threshold() {
+            return;
+        }
+        let route = response.route;
+        let sql = matches!(route, "query" | "explain")
+            .then(|| sql_of(&request.body).ok())
+            .flatten()
+            .map(|(sql, _)| sql);
+        let explain = sql
+            .as_deref()
+            .and_then(|s| self.db.explain_analyze(s).ok())
+            .map(|report| report.to_masked_string());
+        let wait = (route == "insert").then(|| {
+            let wal = match self.db.wal_stats() {
+                Some(w) => format!(
+                    "{{\"last_seq\":{},\"durable_seq\":{}}}",
+                    w.last_seq, w.durable_seq
+                ),
+                None => "null".to_string(),
+            };
+            format!(
+                "{{\"buffered_rows\":{},\"queue_depth\":{},\"wal\":{wal}}}",
+                self.batcher.buffered(),
+                self.backlog.queued()
+            )
+        });
+        let ctx = trace::current().filter(|c| c.sampled);
+        self.slow.push(SlowEntry {
+            unix_ms: slow::unix_ms(),
+            route,
+            status: response.status,
+            latency_ns: elapsed.as_nanos() as u64,
+            trace_id: ctx.map(|c| c.trace_id),
+            sql,
+            explain,
+            wait,
+        });
+        fdc_obs::counter(names::SERVE_SLOW_CAPTURED).incr();
     }
-    let sql = matches!(route, "query" | "explain")
-        .then(|| sql_of(&request.body).ok())
-        .flatten()
-        .map(|(sql, _)| sql);
-    let explain = sql
-        .as_deref()
-        .and_then(|s| shared.db.explain_analyze(s).ok())
-        .map(|report| report.to_masked_string());
-    let wait = (route == "insert").then(|| {
-        let queue_len = shared.queue.lock().unwrap().len();
-        let wal = match shared.db.wal_stats() {
-            Some(w) => format!(
-                "{{\"last_seq\":{},\"durable_seq\":{}}}",
-                w.last_seq, w.durable_seq
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"buffered_rows\":{},\"queue_depth\":{queue_len},\"wal\":{wal}}}",
-            shared.batcher.buffered()
-        )
-    });
-    shared.slow.push(SlowEntry {
-        unix_ms: slow::unix_ms(),
-        route,
-        status,
-        latency_ns: elapsed.as_nanos() as u64,
-        trace_id: ctx.sampled.then_some(ctx.trace_id),
-        sql,
-        explain,
-        wait,
-    });
-    fdc_obs::counter(names::SERVE_SLOW_CAPTURED).incr();
-}
-
-/// Writes the response and records the route/status counter.
-fn respond(
-    stream: &mut TcpStream,
-    route: &'static str,
-    status: u16,
-    body: String,
-    extra: &[(&str, &str)],
-) {
-    let status_line = match status {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        409 => "409 Conflict",
-        410 => "410 Gone",
-        421 => "421 Misdirected Request",
-        413 => "413 Payload Too Large",
-        500 => "500 Internal Server Error",
-        503 => "503 Service Unavailable",
-        _ => "500 Internal Server Error",
-    };
-    fdc_obs::counter_with(
-        names::SERVE_REQUESTS,
-        &[("route", route), ("status", &status.to_string())],
-    )
-    .incr();
-    write_response(stream, status_line, "application/json", &body, extra).ok();
 }
 
 fn err_body(msg: &str) -> String {
@@ -847,12 +629,22 @@ fn err_body(msg: &str) -> String {
 // Routing and handlers
 // ---------------------------------------------------------------------------
 
+/// A JSON route's answer: route label, status, body, extra headers.
 type Routed = (&'static str, u16, String, Vec<(&'static str, String)>);
 
-fn route_request(shared: &Shared, request: &Request, remaining: Duration) -> Routed {
-    let (path, _query) = request.path_query();
+/// `Content-Type` of the Prometheus text exposition.
+const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4";
+
+fn route_request(shared: &Shared, request: &Request, remaining: Duration) -> Response {
+    let (path, query) = request.path_query();
     let no_extra = Vec::new;
-    match (request.method.as_str(), path) {
+    let (route, status, body, headers) = match (request.method.as_str(), path) {
+        ("GET", "/wal/fetch") => return handle_wal_fetch(shared, query),
+        ("GET", "/sketch") => return handle_sketch(shared),
+        ("GET", "/metrics") => {
+            let body = fdc_obs::encode_prometheus(&fdc_obs::snapshot());
+            return Response::new("metrics", 200, PROMETHEUS_TEXT, body);
+        }
         ("POST", "/query") => {
             let (status, body) = handle_query(shared, &request.body);
             ("query", status, body, no_extra())
@@ -889,13 +681,20 @@ fn route_request(shared: &Shared, request: &Request, remaining: Duration) -> Rou
             err_body("use POST"),
             vec![("Allow", "POST".to_string())],
         ),
-        (_, "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch") => (
+        (_, "/stats" | "/healthz" | "/slow" | "/wal/fetch" | "/sketch" | "/metrics") => (
             "method",
             405,
             err_body("use GET"),
             vec![("Allow", "GET".to_string())],
         ),
         _ => ("unknown", 404, err_body("no such route"), no_extra()),
+    };
+    Response {
+        route,
+        status,
+        content_type: "application/json",
+        body: body.into_bytes(),
+        headers,
     }
 }
 
@@ -1334,7 +1133,7 @@ fn handle_plan(shared: &Shared, body: &[u8]) -> (u16, String) {
 /// disjoint union) and the t-digest behind every per-route latency
 /// histogram. The router folds one bundle per shard into `/stats` and
 /// `/metrics` views no single process could compute from quantiles.
-fn handle_sketch(shared: &Shared, stream: &mut TcpStream) {
+fn handle_sketch(shared: &Shared) -> Response {
     let accuracy = match shared.db.drift_monitor() {
         Some(acc) => acc
             .summaries()
@@ -1357,19 +1156,7 @@ fn handle_sketch(shared: &Shared, stream: &mut TcpStream) {
         }
     }
     let bundle = fdc_obs::SketchBundle { accuracy, digests };
-    fdc_obs::counter_with(
-        names::SERVE_REQUESTS,
-        &[("route", "sketch"), ("status", "200")],
-    )
-    .incr();
-    fdc_obs::httpcore::write_response_bytes(
-        stream,
-        "200 OK",
-        "application/octet-stream",
-        &bundle.encode(),
-        &[],
-    )
-    .ok();
+    Response::new("sketch", 200, "application/octet-stream", bundle.encode())
 }
 
 /// `GET /healthz` — degrades to `503` on a follower whose replication
@@ -1404,26 +1191,16 @@ const SHIP_MAX_BYTES_CAP: usize = 4 << 20;
 /// shipping. Answers a binary [`fdc_wal::ShipChunk`] of durable frames
 /// past `after`; a fetch below the checkpoint watermark is `410 Gone`
 /// (the frames were truncated — re-bootstrap the follower).
-fn handle_wal_fetch(shared: &Shared, stream: &mut TcpStream, query: &str) {
+fn handle_wal_fetch(shared: &Shared, query: &str) -> Response {
     let Some(wal) = shared.db.wal() else {
-        respond(
-            stream,
-            "wal_fetch",
-            404,
-            err_body("no write-ahead log attached"),
-            &[],
-        );
-        return;
+        return Response::error("wal_fetch", 404, "no write-ahead log attached");
     };
     let (after, max_bytes) = match (query_u64(query, "after"), query_u64(query, "max_bytes")) {
         (Ok(after), Ok(max)) => (
             after.unwrap_or(0),
             (max.unwrap_or(256 << 10) as usize).clamp(1, SHIP_MAX_BYTES_CAP),
         ),
-        (Err(m), _) | (_, Err(m)) => {
-            respond(stream, "wal_fetch", 400, err_body(&m), &[]);
-            return;
-        }
+        (Err(m), _) | (_, Err(m)) => return Response::error("wal_fetch", 400, &m),
     };
     match wal.ship_chunk(after, max_bytes) {
         Ok(chunk) => {
@@ -1445,24 +1222,12 @@ fn handle_wal_fetch(shared: &Shared, stream: &mut TcpStream, query: &str) {
             let _ship_span = fdc_obs::span!("serve.wal_ship");
             fdc_obs::gauge(names::WAL_DURABLE_SEQ).set(chunk.durable_seq as i64);
             let body = fdc_wal::encode_chunk(&chunk);
-            fdc_obs::counter_with(
-                names::SERVE_REQUESTS,
-                &[("route", "wal_fetch"), ("status", "200")],
-            )
-            .incr();
-            fdc_obs::httpcore::write_response_bytes(
-                stream,
-                "200 OK",
-                "application/octet-stream",
-                &body,
-                &[],
-            )
-            .ok();
+            Response::new("wal_fetch", 200, "application/octet-stream", body)
         }
         Err(e @ fdc_wal::ShipError::WatermarkGap { .. }) => {
-            respond(stream, "wal_fetch", 410, err_body(&e.to_string()), &[]);
+            Response::error("wal_fetch", 410, &e.to_string())
         }
-        Err(e) => respond(stream, "wal_fetch", 500, err_body(&e.to_string()), &[]),
+        Err(e) => Response::error("wal_fetch", 500, &e.to_string()),
     }
 }
 
@@ -1564,7 +1329,7 @@ fn drift_json(shared: &Shared) -> String {
 
 fn stats_body(shared: &Shared) -> String {
     let stats = shared.db.stats();
-    let queue_len = shared.queue.lock().unwrap().len();
+    let queue_len = shared.backlog.queued();
     let wal = match shared.db.wal_stats() {
         Some(w) => format!(
             "{{\"last_seq\":{},\"durable_seq\":{},\"checkpoint_seq\":{},\"segments\":{},\

@@ -144,6 +144,39 @@ fn routes_answer_over_a_real_socket() {
     assert!(!report.saved_catalog);
 }
 
+#[test]
+fn metrics_route_serves_the_registry_exposition() {
+    let server = Server::start(small_db(), 0, ServeOptions::default()).unwrap();
+    let addr = server.addr();
+    let r = http(
+        addr,
+        "POST",
+        "/query",
+        r#"{"sql": "SELECT time, SUM(visitors) FROM facts GROUP BY time AS OF now() + '1 quarter'"}"#,
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+
+    let r = http(addr, "GET", "/metrics", "").unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(r.header("content-type"), Some("text/plain; version=0.0.4"));
+    assert_eq!(r.header("connection"), Some("close"));
+    assert!(
+        r.body.contains("# TYPE serve_request_ns histogram"),
+        "{}",
+        r.body
+    );
+    assert!(
+        r.body.contains("serve_request_ns_count{route=\"query\"}"),
+        "{}",
+        r.body
+    );
+    let r = http(addr, "POST", "/metrics", "").unwrap();
+    assert_eq!(r.status, 405);
+    assert_eq!(r.header("allow"), Some("GET"));
+    server.shutdown().unwrap();
+}
+
 /// A database whose queries are artificially slow: every model is
 /// invalid and each lazy re-fit stalls, so one `/query` holds a worker
 /// for hundreds of milliseconds — long enough to fill a depth-1 queue
