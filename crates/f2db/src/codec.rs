@@ -1,13 +1,15 @@
-//! Compact binary codec for catalog persistence.
+//! The catalog's on-disk format (`F2DB`): its magic and versions.
 //!
-//! The catalog rows (derivation schemes, weights, model states) are
-//! encoded with a small hand-rolled binary format on top of `Vec<u8>` —
-//! length-prefixed, little-endian, with a versioned magic header. Keeping
-//! the codec local avoids pulling any serialization crate into the
-//! dependency set and makes the on-disk layout explicit.
+//! [`Catalog::encode`](crate::Catalog::encode) and
+//! [`Catalog::decode`](crate::Catalog::decode) write and read the rows
+//! (derivation schemes, weights, model states) with the workspace's one
+//! byte codec, [`fdc_obs::bytes`] — length-prefixed, little-endian,
+//! behind a versioned magic header — and each model in the shared
+//! [`ModelState`](fdc_forecast::ModelState) layout. A decode failure
+//! surfaces as [`F2dbError::Storage`].
 
-use crate::{F2dbError, Result};
-use fdc_forecast::{ModelSpec, ModelState, SeasonalKind};
+use crate::F2dbError;
+use fdc_obs::bytes::DecodeError;
 
 /// Magic bytes identifying a catalog file.
 pub const MAGIC: &[u8; 4] = b"F2DB";
@@ -19,369 +21,8 @@ pub const VERSION: u16 = 2;
 /// epoch restarts at 0.
 pub const MIN_VERSION: u16 = 1;
 
-/// Write-side codec helper.
-#[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    /// Creates an encoder with the catalog header already written.
-    pub fn with_header() -> Self {
-        let mut e = Encoder {
-            buf: Vec::with_capacity(1024),
-        };
-        e.buf.extend_from_slice(MAGIC);
-        e.buf.extend_from_slice(&VERSION.to_le_bytes());
-        e
-    }
-
-    /// Finalizes the buffer.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends an u8.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends an u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an f64.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a usize (as u64).
-    pub fn put_len(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a length-prefixed f64 slice.
-    pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_len(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
-    }
-
-    /// Appends a length-prefixed usize slice.
-    pub fn put_usize_slice(&mut self, vs: &[usize]) {
-        self.put_len(vs.len());
-        for &v in vs {
-            self.put_u64(v as u64);
-        }
-    }
-
-    /// Appends a model state.
-    pub fn put_model_state(&mut self, state: &ModelState) {
-        match &state.spec {
-            ModelSpec::Ses => self.put_u8(0),
-            ModelSpec::Holt => self.put_u8(1),
-            ModelSpec::HoltDamped => self.put_u8(5),
-            ModelSpec::HoltWinters { period, seasonal } => {
-                self.put_u8(2);
-                self.put_u64(*period as u64);
-                self.put_u8(match seasonal {
-                    SeasonalKind::Additive => 0,
-                    SeasonalKind::Multiplicative => 1,
-                });
-            }
-            ModelSpec::Arima { p, d, q } => {
-                self.put_u8(3);
-                self.put_u64(*p as u64);
-                self.put_u64(*d as u64);
-                self.put_u64(*q as u64);
-            }
-            ModelSpec::Sarima {
-                order,
-                seasonal,
-                period,
-            } => {
-                self.put_u8(4);
-                self.put_u64(order.0 as u64);
-                self.put_u64(order.1 as u64);
-                self.put_u64(order.2 as u64);
-                self.put_u64(seasonal.0 as u64);
-                self.put_u64(seasonal.1 as u64);
-                self.put_u64(seasonal.2 as u64);
-                self.put_u64(*period as u64);
-            }
-        }
-        self.put_f64_slice(&state.params);
-        self.put_f64_slice(&state.state);
-        self.put_u64(state.observations as u64);
-    }
-}
-
-/// Read-side codec helper.
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    version: u16,
-}
-
-impl<'a> Decoder<'a> {
-    /// Creates a decoder, validating the magic and accepting any format
-    /// version in `MIN_VERSION..=VERSION`; the caller branches on
-    /// [`Decoder::version`] for fields that newer versions added.
-    pub fn with_header(bytes: &'a [u8]) -> Result<Self> {
-        let mut d = Decoder {
-            buf: bytes,
-            version: 0,
-        };
-        let magic = d.take(4)?;
-        if magic != MAGIC {
-            return Err(F2dbError::Storage("bad catalog magic".into()));
-        }
-        let version = d.get_u16()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(F2dbError::Storage(format!(
-                "unsupported catalog version {version} (this build reads versions {MIN_VERSION} through {VERSION})"
-            )));
-        }
-        d.version = version;
-        Ok(d)
-    }
-
-    /// Creates a decoder with *no* header expectation — for container
-    /// formats (like the `F2CK` checkpoint container in [`crate::durability`])
-    /// that embed catalog-codec primitives under their own magic. The
-    /// version reports as the current [`VERSION`].
-    pub fn raw(bytes: &'a [u8]) -> Self {
-        Decoder {
-            buf: bytes,
-            version: VERSION,
-        }
-    }
-
-    /// The format version declared by the header.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(F2dbError::Storage("truncated catalog".into()));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads an u8.
-    pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads an u32.
-    pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads an u64.
-    pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an f64.
-    pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a usize (bounded to avoid allocation bombs from corrupt
-    /// files).
-    pub fn get_len(&mut self) -> Result<usize> {
-        let v = self.get_u64()?;
-        if v > (1 << 40) {
-            return Err(F2dbError::Storage("implausible length in catalog".into()));
-        }
-        Ok(v as usize)
-    }
-
-    /// Reads a length-prefixed f64 vector.
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>> {
-        let n = self.get_len()?;
-        if self.buf.len() < n * 8 {
-            return Err(F2dbError::Storage("truncated f64 vector".into()));
-        }
-        (0..n).map(|_| self.get_f64()).collect()
-    }
-
-    /// Reads a length-prefixed usize vector.
-    pub fn get_usize_vec(&mut self) -> Result<Vec<usize>> {
-        let n = self.get_len()?;
-        if self.buf.len() < n * 8 {
-            return Err(F2dbError::Storage("truncated usize vector".into()));
-        }
-        (0..n).map(|_| self.get_u64().map(|v| v as usize)).collect()
-    }
-
-    /// Reads a model state.
-    pub fn get_model_state(&mut self) -> Result<ModelState> {
-        let tag = self.get_u8()?;
-        let spec = match tag {
-            0 => ModelSpec::Ses,
-            1 => ModelSpec::Holt,
-            5 => ModelSpec::HoltDamped,
-            2 => {
-                let period = self.get_u64()? as usize;
-                let seasonal = match self.get_u8()? {
-                    0 => SeasonalKind::Additive,
-                    1 => SeasonalKind::Multiplicative,
-                    k => {
-                        return Err(F2dbError::Storage(format!("bad seasonal kind {k}")));
-                    }
-                };
-                ModelSpec::HoltWinters { period, seasonal }
-            }
-            3 => ModelSpec::Arima {
-                p: self.get_u64()? as usize,
-                d: self.get_u64()? as usize,
-                q: self.get_u64()? as usize,
-            },
-            4 => ModelSpec::Sarima {
-                order: (
-                    self.get_u64()? as usize,
-                    self.get_u64()? as usize,
-                    self.get_u64()? as usize,
-                ),
-                seasonal: (
-                    self.get_u64()? as usize,
-                    self.get_u64()? as usize,
-                    self.get_u64()? as usize,
-                ),
-                period: self.get_u64()? as usize,
-            },
-            t => return Err(F2dbError::Storage(format!("bad model spec tag {t}"))),
-        };
-        let params = self.get_f64_vec()?;
-        let state = self.get_f64_vec()?;
-        let observations = self.get_u64()? as usize;
-        Ok(ModelState {
-            spec,
-            params,
-            state,
-            observations,
-        })
-    }
-
-    /// Consumes and returns every remaining byte.
-    pub fn take_remaining(&mut self) -> &'a [u8] {
-        let rest = self.buf;
-        self.buf = &[];
-        rest
-    }
-
-    /// Whether all bytes were consumed.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_round_trip() {
-        let mut e = Encoder::with_header();
-        e.put_u8(7);
-        e.put_u32(123456);
-        e.put_u64(u64::MAX - 5);
-        e.put_f64(-1.5e10);
-        e.put_f64_slice(&[1.0, 2.0]);
-        e.put_usize_slice(&[3, 4, 5]);
-        let bytes = e.finish();
-
-        let mut d = Decoder::with_header(&bytes).unwrap();
-        assert_eq!(d.get_u8().unwrap(), 7);
-        assert_eq!(d.get_u32().unwrap(), 123456);
-        assert_eq!(d.get_u64().unwrap(), u64::MAX - 5);
-        assert_eq!(d.get_f64().unwrap(), -1.5e10);
-        assert_eq!(d.get_f64_vec().unwrap(), vec![1.0, 2.0]);
-        assert_eq!(d.get_usize_vec().unwrap(), vec![3, 4, 5]);
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn model_states_round_trip() {
-        let states = vec![
-            ModelState {
-                spec: ModelSpec::Ses,
-                params: vec![0.4],
-                state: vec![10.0],
-                observations: 20,
-            },
-            ModelState {
-                spec: ModelSpec::HoltWinters {
-                    period: 12,
-                    seasonal: SeasonalKind::Multiplicative,
-                },
-                params: vec![0.3, 0.1, 0.2],
-                state: vec![1.0; 14],
-                observations: 48,
-            },
-            ModelState {
-                spec: ModelSpec::Sarima {
-                    order: (1, 1, 1),
-                    seasonal: (0, 1, 0),
-                    period: 4,
-                },
-                params: vec![0.5, -0.2],
-                state: vec![0.1; 9],
-                observations: 60,
-            },
-        ];
-        let mut e = Encoder::with_header();
-        for s in &states {
-            e.put_model_state(s);
-        }
-        let bytes = e.finish();
-        let mut d = Decoder::with_header(&bytes).unwrap();
-        for s in &states {
-            assert_eq!(&d.get_model_state().unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn bad_magic_and_version_rejected() {
-        assert!(Decoder::with_header(b"NOPE\x01\x00").is_err());
-        let mut bad_version = Vec::new();
-        bad_version.extend_from_slice(MAGIC);
-        bad_version.extend_from_slice(&99u16.to_le_bytes());
-        assert!(Decoder::with_header(&bad_version).is_err());
-        assert!(Decoder::with_header(b"F2").is_err());
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let mut e = Encoder::with_header();
-        e.put_f64_slice(&[1.0, 2.0, 3.0]);
-        let bytes = e.finish();
-        let mut d = Decoder::with_header(&bytes[..bytes.len() - 4]).unwrap();
-        assert!(d.get_f64_vec().is_err());
-    }
-
-    #[test]
-    fn implausible_length_rejected() {
-        let mut e = Encoder::with_header();
-        e.put_u64(u64::MAX);
-        let bytes = e.finish();
-        let mut d = Decoder::with_header(&bytes).unwrap();
-        assert!(d.get_len().is_err());
+impl From<DecodeError> for F2dbError {
+    fn from(e: DecodeError) -> Self {
+        F2dbError::Storage(e.to_string())
     }
 }

@@ -1,8 +1,9 @@
 //! Durability formats: the WAL record payloads and the `F2CK`
 //! checkpoint container.
 //!
-//! Two codecs live here, both on the catalog [`codec`](crate::codec)
-//! primitives:
+//! Two codecs live here, both written and read with the workspace's one
+//! byte codec, [`fdc_obs::bytes`]; decode failures are
+//! [`F2dbError::Storage`]:
 //!
 //! * [`WalRecord`] — what one write-ahead-log record carries. Today a
 //!   single variant, `InsertBatch`: the rows of one committed
@@ -23,10 +24,10 @@
 //!   ordinary `F2DB`-encoded catalog bytes. Legacy plain-catalog files
 //!   still open: [`is_checkpoint_container`] dispatches on the magic.
 
-use crate::codec::{Decoder, Encoder};
 use crate::{F2dbError, Result};
 use fdc_cube::{Coord, Dataset, NodeId};
 use fdc_forecast::{Granularity, TimeSeries};
+use fdc_obs::bytes::{Reader, Writer};
 
 /// Magic bytes identifying a checkpoint container file.
 pub const CONTAINER_MAGIC: &[u8; 4] = b"F2CK";
@@ -57,57 +58,40 @@ impl WalRecord {
     /// Encodes the record payload (framing — length, checksum, sequence
     /// number — is the WAL's job, not ours).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::default();
-        match self {
-            WalRecord::InsertBatch { rows, trace } => {
-                match trace {
-                    Some((trace_id, span_id)) => {
-                        e.put_u8(TAG_INSERT_BATCH_TRACED);
-                        e.put_u64((trace_id >> 64) as u64);
-                        e.put_u64(*trace_id as u64);
-                        e.put_u64(*span_id);
-                    }
-                    None => e.put_u8(TAG_INSERT_BATCH),
-                }
-                e.put_len(rows.len());
-                for &(node, value) in rows {
-                    e.put_u64(node as u64);
-                    e.put_f64(value);
-                }
+        let WalRecord::InsertBatch { rows, trace } = self;
+        let mut w = Writer::with_capacity(1 + 24 + 8 + rows.len() * 16);
+        match trace {
+            Some((trace_id, span_id)) => {
+                w.u8(TAG_INSERT_BATCH_TRACED);
+                w.u64((trace_id >> 64) as u64);
+                w.u64(*trace_id as u64);
+                w.u64(*span_id);
             }
+            None => w.u8(TAG_INSERT_BATCH),
         }
-        e.finish()
+        write_rows(&mut w, rows);
+        w.finish()
     }
 
-    /// Decodes a record payload. A payload that does not parse is a
-    /// versioned hard error: the WAL's checksum already passed, so this
-    /// is a format mismatch, not a torn write.
+    /// Decodes a record payload. A payload that does not parse is a hard
+    /// error: the WAL's checksum already passed, so this is a format
+    /// mismatch, not a torn write.
     pub fn decode(bytes: &[u8]) -> Result<WalRecord> {
-        let mut d = Decoder::raw(bytes);
-        let tag = d.get_u8()?;
-        match tag {
-            TAG_INSERT_BATCH | TAG_INSERT_BATCH_TRACED => {
-                let trace = if tag == TAG_INSERT_BATCH_TRACED {
-                    let hi = d.get_u64()?;
-                    let lo = d.get_u64()?;
-                    let span_id = d.get_u64()?;
-                    Some(((u128::from(hi) << 64) | u128::from(lo), span_id))
-                } else {
-                    None
-                };
-                let n = d.get_len()?;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let node = d.get_u64()? as NodeId;
-                    let value = d.get_f64()?;
-                    rows.push((node, value));
-                }
-                Ok(WalRecord::InsertBatch { rows, trace })
+        let mut r = Reader::new("wal record", bytes);
+        let trace = match r.u8()? {
+            TAG_INSERT_BATCH => None,
+            TAG_INSERT_BATCH_TRACED => Some(read_trace(&mut r)?),
+            t => {
+                return Err(F2dbError::Storage(format!(
+                    "unknown wal record tag {t} (valid tags are {TAG_INSERT_BATCH}, an insert \
+                     batch, and {TAG_INSERT_BATCH_TRACED}, a traced insert batch)"
+                )))
             }
-            t => Err(F2dbError::Storage(format!(
-                "unknown wal record tag {t} (this build reads wal record format v{CONTAINER_VERSION})"
-            ))),
-        }
+        };
+        Ok(WalRecord::InsertBatch {
+            rows: read_rows(&mut r)?,
+            trace,
+        })
     }
 
     /// Reads just the trace identity off an encoded record, without
@@ -115,15 +99,34 @@ impl WalRecord {
     /// to let a `/wal/fetch` span join the originating insert's trace.
     /// `None` for untraced records or anything that does not parse.
     pub fn peek_trace(bytes: &[u8]) -> Option<(u128, u64)> {
-        let mut d = Decoder::raw(bytes);
-        if d.get_u8().ok()? != TAG_INSERT_BATCH_TRACED {
+        let mut r = Reader::new("wal record", bytes);
+        if r.u8().ok()? != TAG_INSERT_BATCH_TRACED {
             return None;
         }
-        let hi = d.get_u64().ok()?;
-        let lo = d.get_u64().ok()?;
-        let span_id = d.get_u64().ok()?;
-        Some(((u128::from(hi) << 64) | u128::from(lo), span_id))
+        read_trace(&mut r).ok()
     }
+}
+
+/// `u64` trace-id high half, low half, then the span id.
+fn read_trace(r: &mut Reader<'_>) -> Result<(u128, u64)> {
+    let hi = r.u64()?;
+    let lo = r.u64()?;
+    Ok(((u128::from(hi) << 64) | u128::from(lo), r.u64()?))
+}
+
+/// A `u64`-counted run of `(node u64, value f64)` rows.
+fn write_rows(w: &mut Writer, rows: &[(NodeId, f64)]) {
+    w.count(rows.len());
+    for &(node, value) in rows {
+        w.u64(node as u64);
+        w.f64(value);
+    }
+}
+
+/// Reads the rows [`write_rows`] wrote.
+fn read_rows(r: &mut Reader<'_>) -> Result<Vec<(NodeId, f64)>> {
+    let n = r.count(16)?;
+    (0..n).map(|_| Ok((r.u64()? as NodeId, r.f64()?))).collect()
 }
 
 /// Whether `bytes` is a checkpoint container (as opposed to a legacy
@@ -132,32 +135,16 @@ pub fn is_checkpoint_container(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && &bytes[..4] == CONTAINER_MAGIC
 }
 
-fn granularity_tag(g: Granularity) -> u8 {
-    match g {
-        Granularity::Hourly => 0,
-        Granularity::Daily => 1,
-        Granularity::Weekly => 2,
-        Granularity::Monthly => 3,
-        Granularity::Quarterly => 4,
-        Granularity::Yearly => 5,
-    }
-}
-
-fn granularity_from_tag(tag: u8) -> Result<Granularity> {
-    Ok(match tag {
-        0 => Granularity::Hourly,
-        1 => Granularity::Daily,
-        2 => Granularity::Weekly,
-        3 => Granularity::Monthly,
-        4 => Granularity::Quarterly,
-        5 => Granularity::Yearly,
-        t => {
-            return Err(F2dbError::Storage(format!(
-                "bad granularity tag {t} in checkpoint container"
-            )))
-        }
-    })
-}
+/// Granularities in tag order: a series stores its granularity as the
+/// index into this table.
+const GRANULARITIES: [Granularity; 6] = [
+    Granularity::Hourly,
+    Granularity::Daily,
+    Granularity::Weekly,
+    Granularity::Monthly,
+    Granularity::Quarterly,
+    Granularity::Yearly,
+];
 
 /// Encodes a checkpoint container: the durable WAL position, the
 /// pending rows, the base-series snapshot of `dataset`, and the encoded
@@ -169,35 +156,28 @@ pub fn encode_checkpoint(
     dataset: &Dataset,
     catalog_bytes: &[u8],
 ) -> Vec<u8> {
-    let mut e = Encoder::default();
-    // Header by hand — Encoder::with_header writes the F2DB magic.
-    let mut buf = Vec::with_capacity(64 + catalog_bytes.len());
-    buf.extend_from_slice(CONTAINER_MAGIC);
-    buf.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-
-    e.put_u64(wal_seq);
-    e.put_len(pending.len());
-    for &(node, value) in pending {
-        e.put_u64(node as u64);
-        e.put_f64(value);
-    }
+    let mut w = Writer::with_header(CONTAINER_MAGIC, CONTAINER_VERSION, 64 + catalog_bytes.len());
+    w.u64(wal_seq);
+    write_rows(&mut w, pending);
     let base = dataset.graph().base_nodes();
-    e.put_len(base.len());
+    w.count(base.len());
     for &b in base {
         let coord = dataset.graph().coord(b);
-        e.put_len(coord.values().len());
+        w.count(coord.values().len());
         for &v in coord.values() {
-            e.put_u32(v);
+            w.u32(v);
         }
         let series = dataset.series(b);
-        e.put_u64(series.start() as u64);
-        e.put_u8(granularity_tag(series.granularity()));
-        e.put_f64_slice(series.values());
+        w.u64(series.start() as u64);
+        let tag = GRANULARITIES
+            .iter()
+            .position(|&g| g == series.granularity());
+        w.u8(tag.expect("every granularity has a tag") as u8);
+        w.f64s(series.values());
     }
-    e.put_len(catalog_bytes.len());
-    buf.extend_from_slice(&e.finish());
-    buf.extend_from_slice(catalog_bytes);
-    buf
+    w.count(catalog_bytes.len());
+    w.bytes(catalog_bytes);
+    w.finish()
 }
 
 /// A decoded checkpoint container.
@@ -216,46 +196,33 @@ pub struct DecodedCheckpoint {
 
 /// Decodes a checkpoint container written by [`encode_checkpoint`].
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<DecodedCheckpoint> {
-    if !is_checkpoint_container(bytes) {
-        return Err(F2dbError::Storage("bad checkpoint container magic".into()));
-    }
-    if bytes.len() < 6 {
-        return Err(F2dbError::Storage("truncated checkpoint container".into()));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != CONTAINER_VERSION {
-        return Err(F2dbError::Storage(format!(
-            "unsupported checkpoint container version {version} (this build reads v{CONTAINER_VERSION})"
-        )));
-    }
-    let mut d = Decoder::raw(&bytes[6..]);
-    let wal_seq = d.get_u64()?;
-    let n_pending = d.get_len()?;
-    let mut pending = Vec::with_capacity(n_pending.min(1 << 16));
-    for _ in 0..n_pending {
-        let node = d.get_u64()? as NodeId;
-        let value = d.get_f64()?;
-        pending.push((node, value));
-    }
-    let n_base = d.get_len()?;
-    let mut base = Vec::with_capacity(n_base.min(1 << 16));
+    let mut r = Reader::new("checkpoint container", bytes);
+    r.header(CONTAINER_MAGIC, CONTAINER_VERSION..=CONTAINER_VERSION)?;
+    let wal_seq = r.u64()?;
+    let pending = read_rows(&mut r)?;
+    // A base series is at least its coordinate count, start, granularity
+    // and value count.
+    let n_base = r.count(8 + 8 + 1 + 8)?;
+    let mut base = Vec::with_capacity(n_base);
     for _ in 0..n_base {
-        let n_dims = d.get_len()?;
-        let mut coord = Vec::with_capacity(n_dims.min(64));
-        for _ in 0..n_dims {
-            coord.push(d.get_u32()?);
-        }
-        let start = d.get_u64()? as i64;
-        let granularity = granularity_from_tag(d.get_u8()?)?;
-        let values = d.get_f64_vec()?;
+        let n_dims = r.count(4)?;
+        let coord = (0..n_dims)
+            .map(|_| r.u32())
+            .collect::<std::result::Result<_, _>>()?;
+        let start = r.u64()? as i64;
+        let tag = r.u8()?;
+        let granularity = *GRANULARITIES
+            .get(tag as usize)
+            .ok_or_else(|| r.invalid(format!("bad granularity tag {tag}")))?;
+        let values = r.f64s()?;
         base.push((
             Coord::new(coord),
             TimeSeries::with_start(values, start, granularity),
         ));
     }
-    let catalog_len = d.get_len()?;
-    let catalog_bytes = d.take_remaining();
-    if catalog_bytes.len() != catalog_len {
+    let catalog_len = r.u64()?;
+    let catalog_bytes = r.rest();
+    if catalog_bytes.len() as u64 != catalog_len {
         return Err(F2dbError::Storage(format!(
             "checkpoint container declares {catalog_len} catalog bytes, {} present",
             catalog_bytes.len()

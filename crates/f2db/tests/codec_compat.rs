@@ -4,10 +4,11 @@
 //! here are hand-built to the exact v1 layout, so this test pins the
 //! migration path independently of the current encoder. Unknown future
 //! versions must fail with a clear, versioned error rather than a
-//! truncation mess.
+//! truncation mess, and a forged count must fail as a typed error.
 
+use fdc_datagen::{generate_cube, GenSpec};
 use fdc_f2db::codec::{MAGIC, MIN_VERSION, VERSION};
-use fdc_f2db::{Catalog, F2dbError};
+use fdc_f2db::{Catalog, F2db, F2dbError};
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -107,4 +108,32 @@ fn future_version_fails_with_clear_versioned_error() {
 fn v1_truncation_is_still_detected() {
     let bytes = v1_fixture();
     assert!(Catalog::decode(&bytes[..bytes.len() - 6]).is_err());
+}
+
+/// 15 bytes: the magic, version 2, a node count of 2^40 and one stray
+/// byte. The count must be rejected against the bytes that remain, not
+/// used to size an allocation (which would abort the process).
+fn forged_node_count() -> Vec<u8> {
+    let mut b = Vec::new();
+    b.extend_from_slice(MAGIC);
+    b.extend_from_slice(&2u16.to_le_bytes());
+    put_u64(&mut b, 1 << 40);
+    b.push(0);
+    assert_eq!(b.len(), 15);
+    b
+}
+
+#[test]
+fn forged_node_count_is_a_typed_error_not_an_abort() {
+    let err = Catalog::decode(&forged_node_count()).err();
+    assert!(matches!(err, Some(F2dbError::Storage(_))), "{err:?}");
+
+    let dir = std::env::temp_dir().join(format!("fdc_forged_catalog_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("catalog.f2db");
+    std::fs::write(&path, forged_node_count()).unwrap();
+    let dataset = generate_cube(&GenSpec::new(2, 8, 0xF0)).dataset;
+    let err = F2db::open_catalog(dataset, &path).err();
+    assert!(matches!(err, Some(F2dbError::Storage(_))), "{err:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }

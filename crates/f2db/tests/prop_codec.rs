@@ -1,13 +1,15 @@
-//! Randomized property tests of the catalog codec and the SQL parser,
-//! driven by the deterministic workspace RNG.
+//! Randomized property tests of the catalog codec, the model-state
+//! codec it shares with the `FDCA` plane, and the SQL parser, driven by
+//! the deterministic workspace RNG.
 
 use fdc_cube::{Configuration, ConfiguredModel, CubeSplit, Dataset, NodeId};
 use fdc_datagen::{generate_cube, GenSpec};
-use fdc_f2db::codec::{Decoder, Encoder};
+use fdc_f2db::codec::{MAGIC, MIN_VERSION, VERSION};
 use fdc_f2db::parser::{parse_horizon, parse_query};
 use fdc_f2db::query::{HorizonSpec, Statement};
 use fdc_f2db::{Catalog, MaintenancePolicy};
 use fdc_forecast::{FitOptions, ModelSpec, ModelState, SeasonalKind};
+use fdc_obs::bytes::{Reader, Writer};
 use fdc_rng::Rng;
 
 fn random_model_state(rng: &mut Rng) -> ModelState {
@@ -55,16 +57,17 @@ fn model_state_codec_round_trip() {
         let states: Vec<ModelState> = (0..1 + rng.usize_below(7))
             .map(|_| random_model_state(&mut rng))
             .collect();
-        let mut e = Encoder::with_header();
+        let mut w = Writer::with_header(MAGIC, VERSION, 1024);
         for s in &states {
-            e.put_model_state(s);
+            s.write(&mut w);
         }
-        let bytes = e.finish();
-        let mut d = Decoder::with_header(&bytes).unwrap();
+        let bytes = w.finish();
+        let mut r = Reader::new("catalog", &bytes);
+        r.header(MAGIC, MIN_VERSION..=VERSION).unwrap();
         for s in &states {
-            assert_eq!(&d.get_model_state().unwrap(), s, "case {case}");
+            assert_eq!(&ModelState::read(&mut r).unwrap(), s, "case {case}");
         }
-        assert!(d.is_empty());
+        r.finish().unwrap();
     }
 }
 
@@ -199,17 +202,15 @@ fn truncated_streams_error_gracefully() {
     let mut rng = Rng::seed_from_u64(0xc0dec2);
     for _ in 0..128 {
         let state = random_model_state(&mut rng);
-        let mut e = Encoder::with_header();
-        e.put_model_state(&state);
-        let bytes = e.finish();
+        let mut w = Writer::with_header(MAGIC, VERSION, 1024);
+        state.write(&mut w);
+        let bytes = w.finish();
         let cut = rng.usize_below(64).min(bytes.len().saturating_sub(1));
-        match Decoder::with_header(&bytes[..cut]) {
-            Err(_) => {}
-            Ok(mut d) => {
-                // Must not panic; may error or (for cuts beyond the state)
-                // succeed.
-                let _ = d.get_model_state();
-            }
+        let mut r = Reader::new("catalog", &bytes[..cut]);
+        if r.header(MAGIC, MIN_VERSION..=VERSION).is_ok() {
+            // Must not panic; may error or (for cuts beyond the state)
+            // succeed.
+            let _ = ModelState::read(&mut r);
         }
     }
 }

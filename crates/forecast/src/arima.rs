@@ -497,23 +497,42 @@ impl Sarima {
         order: ArimaOrder,
         seasonal: SeasonalOrder,
     ) -> crate::Result<Self> {
-        let dim = order.p + seasonal.p + order.q + seasonal.q;
-        if state.params.len() != dim {
+        // The orders come from storage: check the layout they imply
+        // against the stored vectors (with checked arithmetic) before
+        // sizing anything by them.
+        let dim = [order.p, seasonal.p, order.q, seasonal.q]
+            .into_iter()
+            .try_fold(0usize, usize::checked_add);
+        if dim != Some(state.params.len()) {
             return Err(ForecastError::InvalidState(
                 "parameter count mismatch".into(),
             ));
         }
-        let (ar, ma) = Self::expand_params(&state.params, order, seasonal);
-        let ar_len = ar.len();
-        let ma_len = ma.len();
-        let diff_len = order.d + seasonal.d * seasonal.period;
-        let expected = 1 + ar_len + ma_len + diff_len;
-        if state.state.len() != expected {
+        let span =
+            |k: usize, seasonal_k: usize| seasonal_k.checked_mul(seasonal.period)?.checked_add(k);
+        let expected = [
+            span(order.p, seasonal.p),
+            span(order.q, seasonal.q),
+            span(order.d, seasonal.d),
+        ]
+        .into_iter()
+        .try_fold(1usize, |acc, len| acc.checked_add(len?));
+        // A lag-0 seasonal difference is no model, and rejecting it keeps
+        // `seasonal.d` bounded by the state length too.
+        if seasonal.period == 0 && seasonal.d > 0 {
+            return Err(ForecastError::InvalidState(
+                "seasonal differencing without a period".into(),
+            ));
+        }
+        if expected != Some(state.state.len()) {
             return Err(ForecastError::InvalidState(format!(
-                "state length mismatch: expected {expected}, got {}",
+                "state length mismatch: expected {expected:?}, got {}",
                 state.state.len()
             )));
         }
+        let (ar, ma) = Self::expand_params(&state.params, order, seasonal);
+        let ar_len = ar.len();
+        let ma_len = ma.len();
         let mean = state.state[0];
         let recent_w = state.state[1..1 + ar_len].to_vec();
         let recent_e = state.state[1 + ar_len..1 + ar_len + ma_len].to_vec();

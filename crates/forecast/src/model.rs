@@ -4,6 +4,7 @@
 use crate::arima::{Arima, ArimaOrder, Sarima, SeasonalOrder};
 use crate::series::TimeSeries;
 use crate::smoothing::{DampedHolt, Holt, HoltWinters, SimpleExponentialSmoothing};
+use fdc_obs::bytes::{DecodeError, Reader, Writer};
 
 /// Errors raised while fitting or using forecast models.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,6 +229,73 @@ impl ModelSpec {
             ModelSpec::Ses
         }
     }
+
+    /// Appends the spec: a tag byte, then the structural fields as
+    /// `u64`s (Holt–Winters adds a seasonal-kind byte).
+    pub fn write(&self, w: &mut Writer) {
+        match self {
+            ModelSpec::Ses => w.u8(0),
+            ModelSpec::Holt => w.u8(1),
+            ModelSpec::HoltDamped => w.u8(5),
+            ModelSpec::HoltWinters { period, seasonal } => {
+                w.u8(2);
+                w.u64(*period as u64);
+                w.u8(match seasonal {
+                    SeasonalKind::Additive => 0,
+                    SeasonalKind::Multiplicative => 1,
+                });
+            }
+            ModelSpec::Arima { p, d, q } => {
+                w.u8(3);
+                for v in [p, d, q] {
+                    w.u64(*v as u64);
+                }
+            }
+            ModelSpec::Sarima {
+                order,
+                seasonal,
+                period,
+            } => {
+                w.u8(4);
+                let (o, s) = (order, seasonal);
+                for v in [o.0, o.1, o.2, s.0, s.1, s.2, *period] {
+                    w.u64(v as u64);
+                }
+            }
+        }
+    }
+
+    /// Reads a spec written by [`ModelSpec::write`].
+    pub fn read(r: &mut Reader<'_>) -> Result<ModelSpec, DecodeError> {
+        fn n(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+            r.u64().map(|v| v as usize)
+        }
+        Ok(match r.u8()? {
+            0 => ModelSpec::Ses,
+            1 => ModelSpec::Holt,
+            5 => ModelSpec::HoltDamped,
+            2 => {
+                let period = n(r)?;
+                let seasonal = match r.u8()? {
+                    0 => SeasonalKind::Additive,
+                    1 => SeasonalKind::Multiplicative,
+                    k => return Err(r.invalid(format!("bad seasonal kind {k}"))),
+                };
+                ModelSpec::HoltWinters { period, seasonal }
+            }
+            3 => ModelSpec::Arima {
+                p: n(r)?,
+                d: n(r)?,
+                q: n(r)?,
+            },
+            4 => ModelSpec::Sarima {
+                order: (n(r)?, n(r)?, n(r)?),
+                seasonal: (n(r)?, n(r)?, n(r)?),
+                period: n(r)?,
+            },
+            t => return Err(r.invalid(format!("bad model spec tag {t}"))),
+        })
+    }
 }
 
 /// Burns roughly `us` microseconds of CPU. Deliberately a busy loop (not a
@@ -257,6 +325,32 @@ pub struct ModelState {
     pub state: Vec<f64>,
     /// Number of observations the model has absorbed.
     pub observations: usize,
+}
+
+impl ModelState {
+    /// Smallest encoding of a state: a tag-only spec, two empty vectors
+    /// and the observation count.
+    pub const MIN_ENCODED_BYTES: usize = 1 + 8 + 8 + 8;
+
+    /// Appends the state as the catalog and the `FDCA` plane store it:
+    /// the spec, `u64`-counted params and state, then the observation
+    /// count.
+    pub fn write(&self, w: &mut Writer) {
+        self.spec.write(w);
+        w.f64s(&self.params);
+        w.f64s(&self.state);
+        w.u64(self.observations as u64);
+    }
+
+    /// Reads a state written by [`ModelState::write`].
+    pub fn read(r: &mut Reader<'_>) -> Result<ModelState, DecodeError> {
+        Ok(ModelState {
+            spec: ModelSpec::read(r)?,
+            params: r.f64s()?,
+            state: r.f64s()?,
+            observations: r.u64()? as usize,
+        })
+    }
 }
 
 /// A fitted forecast model over a single time series of a node (§II-B).
@@ -408,5 +502,93 @@ mod tests {
         let model = ModelSpec::Ses.fit(&s, &FitOptions::default()).unwrap();
         let cloned = model.clone();
         assert_eq!(cloned.forecast(4), model.forecast(4));
+    }
+
+    #[test]
+    fn model_states_round_trip() {
+        let states = vec![
+            ModelState {
+                spec: ModelSpec::Ses,
+                params: vec![0.4],
+                state: vec![10.0],
+                observations: 20,
+            },
+            ModelState {
+                spec: ModelSpec::HoltWinters {
+                    period: 12,
+                    seasonal: SeasonalKind::Multiplicative,
+                },
+                params: vec![0.3, 0.1, 0.2],
+                state: vec![1.0; 14],
+                observations: 48,
+            },
+            ModelState {
+                spec: ModelSpec::Sarima {
+                    order: (1, 1, 1),
+                    seasonal: (0, 1, 0),
+                    period: 4,
+                },
+                params: vec![0.5, -0.2],
+                state: vec![0.1; 9],
+                observations: 60,
+            },
+        ];
+        let mut w = Writer::default();
+        for s in &states {
+            s.write(&mut w);
+        }
+        let bytes = w.finish();
+        let mut r = Reader::new("model state", &bytes);
+        for s in &states {
+            assert_eq!(&ModelState::read(&mut r).unwrap(), s);
+        }
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn bad_tags_are_typed_errors() {
+        for bytes in [&[9u8][..], &[2, 4, 0, 0, 0, 0, 0, 0, 0, 7]] {
+            let err = ModelSpec::read(&mut Reader::new("model state", bytes)).unwrap_err();
+            assert!(
+                matches!(err.kind, fdc_obs::bytes::DecodeErrorKind::Invalid(_)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_orders_do_not_size_allocations() {
+        // Orders far beyond the stored vectors must be rejected before
+        // anything is sized by them.
+        let forged = [
+            ModelSpec::Sarima {
+                order: (0, usize::MAX, 0),
+                seasonal: (0, 1 << 40, 0),
+                period: 4,
+            },
+            ModelSpec::Sarima {
+                order: (0, 0, 0),
+                seasonal: (1, 0, 0),
+                period: 1 << 40,
+            },
+            ModelSpec::Arima {
+                p: usize::MAX,
+                d: 0,
+                q: 1,
+            },
+            ModelSpec::HoltWinters {
+                period: usize::MAX,
+                seasonal: SeasonalKind::Additive,
+            },
+        ];
+        for spec in forged {
+            let state = ModelState {
+                spec,
+                params: vec![0.1],
+                state: vec![0.0; 3],
+                observations: 10,
+            };
+            assert!(restore_model(&state).is_err(), "{:?}", state.spec);
+        }
     }
 }

@@ -691,7 +691,7 @@ impl HoltWinters {
                 ))
             }
         };
-        if state.params.len() != 3 || state.state.len() != 2 + period {
+        if state.params.len() != 3 || state.state.len() != period.saturating_add(2) {
             return Err(ForecastError::InvalidState(
                 "malformed Holt-Winters state".into(),
             ));

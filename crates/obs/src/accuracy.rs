@@ -28,6 +28,7 @@
 //! the gauge families are configured by the caller, so `fdc-f2db` wires
 //! it to its catalog nodes without this crate knowing about catalogs.
 
+use crate::bytes::{Reader, Writer};
 use crate::metrics::registry;
 use crate::names;
 use crate::sketch::{MomentSummary, SketchDecodeError};
@@ -150,42 +151,35 @@ impl KeyAccuracy {
     /// using the [`MomentSummary`] codec for each member — the wire
     /// format a shard ships alongside WAL frames.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + 8 + 3 * 57);
-        out.push(KEY_ACCURACY_CODEC_VERSION);
-        out.extend_from_slice(&self.key.to_le_bytes());
-        out.push(self.drifting as u8);
+        let mut w = Writer::with_capacity(2 + 8 + 3 * 57);
+        w.u8(KEY_ACCURACY_CODEC_VERSION);
+        w.u64(self.key);
+        w.u8(self.drifting as u8);
         for s in [&self.smape, &self.err, &self.baseline_err] {
-            out.extend_from_slice(&s.encode());
+            s.write(&mut w);
         }
-        out
+        w.finish()
     }
 
     /// Decodes a partial produced by [`KeyAccuracy::encode`].
     pub fn decode(bytes: &[u8]) -> Result<KeyAccuracy, SketchDecodeError> {
-        if bytes.len() < 10 {
-            return Err(SketchDecodeError::Truncated);
-        }
-        if bytes[0] != KEY_ACCURACY_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(bytes[0]));
-        }
-        let key = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
-        let drifting = match bytes[9] {
+        let mut r = Reader::new("key accuracy", bytes);
+        r.version_byte(KEY_ACCURACY_CODEC_VERSION)?;
+        let key = r.u64()?;
+        let drifting = match r.u8()? {
             0 => false,
             1 => true,
             _ => return Err(SketchDecodeError::Corrupt("drift flag")),
         };
-        let rest = &bytes[10..];
-        let part = rest.len() / 3;
-        if !rest.len().is_multiple_of(3) || part == 0 {
-            return Err(SketchDecodeError::Truncated);
-        }
-        Ok(KeyAccuracy {
+        let a = KeyAccuracy {
             key,
             drifting,
-            smape: MomentSummary::decode(&rest[..part])?,
-            err: MomentSummary::decode(&rest[part..2 * part])?,
-            baseline_err: MomentSummary::decode(&rest[2 * part..])?,
-        })
+            smape: MomentSummary::read(&mut r)?,
+            err: MomentSummary::read(&mut r)?,
+            baseline_err: MomentSummary::read(&mut r)?,
+        };
+        r.finish()?;
+        Ok(a)
     }
 }
 

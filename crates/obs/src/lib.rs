@@ -35,6 +35,9 @@
 //!   [`MomentSummary`] (exactly mergeable moments), both with versioned
 //!   byte codecs so per-shard sketches can cross process boundaries
 //!   ([`sketch`]);
+//! * **byte codec** — [`bytes::Writer`] / [`bytes::Reader`], the one
+//!   little-endian codec every binary format in the workspace is
+//!   written and read with ([`bytes`]);
 //! * **rolling accuracy** — [`RollingAccuracy`] tracks per-key error
 //!   moments on [`MomentSummary`] ring slots and raises edge-triggered
 //!   [`DriftAlert`]s (SMAPE threshold or variance-aware);
@@ -46,6 +49,7 @@
 //!   for Perfetto).
 
 pub mod accuracy;
+pub mod bytes;
 pub mod events;
 pub mod export;
 pub mod labels;

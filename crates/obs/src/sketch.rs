@@ -21,13 +21,16 @@
 //!   drift detection.
 //!
 //! Both carry a versioned byte codec ([`TDigest::encode`] /
-//! [`MomentSummary::encode`]) so partial aggregates can cross process
+//! [`MomentSummary::encode`], written and read with the workspace's one
+//! byte codec, [`crate::bytes`]) so partial aggregates can cross process
 //! boundaries alongside WAL shipping: a router decodes per-shard
-//! sketches and merges them without ever seeing raw samples.
+//! sketches and merges them without ever seeing raw samples. Decode
+//! failures surface as [`SketchDecodeError`].
 //!
 //! Everything here is `std`-only and deterministic: no clocks, no
 //! randomness, total-order float comparisons.
 
+use crate::bytes::{DecodeError, DecodeErrorKind, Reader, Writer};
 use std::fmt;
 
 // ---------------------------------------------------------------------
@@ -65,57 +68,15 @@ impl fmt::Display for SketchDecodeError {
 
 impl std::error::Error for SketchDecodeError {}
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, SketchDecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(SketchDecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, SketchDecodeError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .ok_or(SketchDecodeError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SketchDecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, SketchDecodeError> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .ok_or(SketchDecodeError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SketchDecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SketchDecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> Result<(), SketchDecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SketchDecodeError::Corrupt("trailing bytes"))
+impl From<DecodeError> for SketchDecodeError {
+    fn from(e: DecodeError) -> Self {
+        match e.kind {
+            DecodeErrorKind::Truncated | DecodeErrorKind::Count { .. } => Self::Truncated,
+            DecodeErrorKind::UnsupportedVersion { found, .. } => {
+                Self::UnsupportedVersion(found as u8)
+            }
+            // No sketch format has a magic or reader-checked fields.
+            _ => Self::Corrupt("trailing bytes"),
         }
     }
 }
@@ -310,9 +271,14 @@ impl MomentSummary {
     /// Serializes as `[version][n][mean][m2][m3][min][max][abs_sum]`
     /// (little-endian, f64 bit patterns — exact round-trip).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 7 * 8);
-        out.push(MOMENT_CODEC_VERSION);
-        out.extend_from_slice(&self.n.to_le_bytes());
+        let mut w = Writer::with_capacity(1 + 7 * 8);
+        self.write(&mut w);
+        w.finish()
+    }
+
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.u8(MOMENT_CODEC_VERSION);
+        w.u64(self.n);
         for v in [
             self.mean,
             self.m2,
@@ -321,18 +287,20 @@ impl MomentSummary {
             self.max,
             self.abs_sum,
         ] {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f64(v);
         }
-        out
     }
 
     /// Decodes a summary produced by [`MomentSummary::encode`].
     pub fn decode(bytes: &[u8]) -> Result<MomentSummary, SketchDecodeError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != MOMENT_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(version));
-        }
+        let mut r = Reader::new("moment summary", bytes);
+        let s = MomentSummary::read(&mut r)?;
+        r.finish()?;
+        Ok(s)
+    }
+
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<MomentSummary, SketchDecodeError> {
+        r.version_byte(MOMENT_CODEC_VERSION)?;
         let s = MomentSummary {
             n: r.u64()?,
             mean: r.f64()?,
@@ -342,7 +310,6 @@ impl MomentSummary {
             max: r.f64()?,
             abs_sum: r.f64()?,
         };
-        r.done()?;
         if s.n > 0 && (!s.mean.is_finite() || s.m2 < 0.0 || s.min > s.max) {
             return Err(SketchDecodeError::Corrupt("moment invariants"));
         }
@@ -363,6 +330,11 @@ struct Centroid {
 
 /// Default compression δ (≈ the retained centroid budget).
 pub const DEFAULT_COMPRESSION: f64 = 200.0;
+
+/// Largest compression δ a digest takes. A digest buffers 4δ samples and
+/// merges into up to 2δ centroids, so a larger δ sizes allocations by
+/// the configuration (or, decoded, by the input) rather than by the data.
+pub const MAX_COMPRESSION: f64 = 1e5;
 
 /// A merging t-digest (Dunning): a constant-space quantile sketch whose
 /// rank error shrinks towards the distribution tails — exactly where
@@ -414,10 +386,11 @@ fn q_of(k: f64, compression: f64) -> f64 {
 
 impl TDigest {
     /// Creates an empty digest with the given compression δ (clamped to
-    /// ≥ 20; higher δ → more centroids → lower rank error).
+    /// 20..=[`MAX_COMPRESSION`]; higher δ → more centroids → lower rank
+    /// error).
     pub fn new(compression: f64) -> Self {
         let compression = if compression.is_finite() {
-            compression.max(20.0)
+            compression.clamp(20.0, MAX_COMPRESSION)
         } else {
             DEFAULT_COMPRESSION
         };
@@ -608,38 +581,36 @@ impl TDigest {
             flushed = f;
             &flushed
         };
-        let mut out = Vec::with_capacity(1 + 4 * 8 + 4 + d.centroids.len() * 16);
-        out.push(DIGEST_CODEC_VERSION);
+        let mut w = Writer::with_capacity(1 + 4 * 8 + 4 + d.centroids.len() * 16);
+        w.u8(DIGEST_CODEC_VERSION);
         for v in [d.compression, d.weight, d.min, d.max] {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            w.f64(v);
         }
-        out.extend_from_slice(&(d.centroids.len() as u32).to_le_bytes());
+        w.u32(d.centroids.len() as u32);
         for c in &d.centroids {
-            out.extend_from_slice(&c.mean.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.weight.to_bits().to_le_bytes());
+            w.f64(c.mean);
+            w.f64(c.weight);
         }
-        out
+        w.finish()
     }
 
     /// Decodes a digest produced by [`TDigest::encode`].
     pub fn decode(bytes: &[u8]) -> Result<TDigest, SketchDecodeError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != DIGEST_CODEC_VERSION {
-            return Err(SketchDecodeError::UnsupportedVersion(version));
-        }
+        let mut r = Reader::new("t-digest", bytes);
+        r.version_byte(DIGEST_CODEC_VERSION)?;
         let compression = r.f64()?;
         let weight = r.f64()?;
         let min = r.f64()?;
         let max = r.f64()?;
-        let n = r.u32()? as usize;
-        if !compression.is_finite() || compression < 20.0 {
+        let n = r.u32()?;
+        if !(20.0..=MAX_COMPRESSION).contains(&compression) {
             return Err(SketchDecodeError::Corrupt("compression"));
         }
         if !weight.is_finite() || weight < 0.0 {
             return Err(SketchDecodeError::Corrupt("weight"));
         }
-        let mut centroids = Vec::with_capacity(n.min(4096));
+        let n = r.check_count(n.into(), 16)?;
+        let mut centroids = Vec::with_capacity(n);
         let mut sum = 0.0;
         let mut prev = f64::NEG_INFINITY;
         for _ in 0..n {
@@ -655,7 +626,7 @@ impl TDigest {
             sum += w;
             centroids.push(Centroid { mean, weight: w });
         }
-        r.done()?;
+        r.finish()?;
         if weight > 0.0 && (min > max || (sum - weight).abs() > weight * 1e-9) {
             return Err(SketchDecodeError::Corrupt("weight total"));
         }

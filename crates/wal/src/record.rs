@@ -13,7 +13,11 @@
 //! frame whose length prefix survived but whose body was torn by a crash
 //! still fails verification. Sequence numbers are assigned by the log,
 //! start at 1 and are contiguous — a gap or repeat is corruption, not a
-//! torn write.
+//! torn write. Frames are written and read with the workspace's byte
+//! codec, [`fdc_obs::bytes`]; the CRC stays here, since only the WAL
+//! formats carry one.
+
+use fdc_obs::bytes::{Reader, Writer};
 
 /// Frame header size: len (4) + crc (4) + seq (8).
 pub const FRAME_HEADER: usize = 16;
@@ -55,17 +59,19 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Encodes one frame (header + payload) into a fresh buffer.
+/// Encodes one frame (header + payload) into a fresh buffer. The CRC
+/// is taken over the frame's own `seq ‖ payload` bytes once they are
+/// written, then patched into its slot.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() as u64 <= MAX_PAYLOAD as u64);
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut w = Writer::with_capacity(FRAME_HEADER + payload.len());
+    w.u32(payload.len() as u32);
+    w.u32(0);
+    w.u64(seq);
+    w.bytes(payload);
+    let mut buf = w.finish();
+    let crc = crc32(&buf[8..]);
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
     buf
 }
 
@@ -104,22 +110,21 @@ pub struct Frame {
 /// Decodes the frame at the start of `buf`, verifying length, checksum
 /// and (when `expected_seq` is `Some`) the sequence number.
 pub fn decode_frame(buf: &[u8], expected_seq: Option<u64>) -> Result<Frame, FrameError> {
-    if buf.len() < FRAME_HEADER {
-        return Err(FrameError::TruncatedHeader);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    let mut r = Reader::new("wal frame", buf);
+    let (len, crc, seq) = match (r.u32(), r.u32(), r.u64()) {
+        (Ok(len), Ok(crc), Ok(seq)) => (len, crc, seq),
+        _ => return Err(FrameError::TruncatedHeader),
+    };
     if len > MAX_PAYLOAD {
         return Err(FrameError::ImplausibleLength(len));
     }
-    let total = FRAME_HEADER + len as usize;
-    if buf.len() < total {
-        return Err(FrameError::TruncatedBody);
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    let payload = r
+        .bytes(len as usize)
+        .map_err(|_| FrameError::TruncatedBody)?;
+    let total = FRAME_HEADER + payload.len();
     if crc32(&buf[8..total]) != crc {
         return Err(FrameError::BadChecksum);
     }
-    let seq = u64::from_le_bytes(buf[8..16].try_into().unwrap());
     if let Some(expected) = expected_seq {
         if seq != expected {
             return Err(FrameError::SequenceGap {
@@ -130,7 +135,7 @@ pub fn decode_frame(buf: &[u8], expected_seq: Option<u64>) -> Result<Frame, Fram
     }
     Ok(Frame {
         seq,
-        payload: buf[16..total].to_vec(),
+        payload: payload.to_vec(),
         encoded_len: total,
     })
 }

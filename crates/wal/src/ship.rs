@@ -31,6 +31,7 @@ use std::io;
 
 use crate::record;
 use crate::wal::{segment_path, Wal, WalError, SEGMENT_HEADER};
+use fdc_obs::bytes::{DecodeError, DecodeErrorKind, Reader, Writer};
 
 /// Wire version of the ship chunk format, embedded in every chunk
 /// header and named by every [`ShipError`].
@@ -216,25 +217,33 @@ impl ShipChunk {
 /// each frame in the standard CRC wal-frame encoding. Deterministic —
 /// the same frames always produce the same bytes.
 pub fn encode_chunk(chunk: &ShipChunk) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        CHUNK_HEADER
-            + chunk
-                .frames
-                .iter()
-                .map(|(_, p)| record::FRAME_HEADER + p.len())
-                .sum::<usize>(),
-    );
-    out.extend_from_slice(CHUNK_MAGIC);
-    out.extend_from_slice(&SHIP_VERSION.to_le_bytes());
-    out.extend_from_slice(&chunk.durable_seq.to_le_bytes());
-    out.extend_from_slice(&chunk.checkpoint_seq.to_le_bytes());
-    let first = chunk.first_seq().unwrap_or(0);
-    out.extend_from_slice(&first.to_le_bytes());
-    out.extend_from_slice(&(chunk.frames.len() as u32).to_le_bytes());
+    let frames_len: usize = chunk
+        .frames
+        .iter()
+        .map(|(_, p)| record::FRAME_HEADER + p.len())
+        .sum();
+    let mut w = Writer::with_header(CHUNK_MAGIC, SHIP_VERSION, CHUNK_HEADER + frames_len);
+    w.u64(chunk.durable_seq);
+    w.u64(chunk.checkpoint_seq);
+    w.u64(chunk.first_seq().unwrap_or(0));
+    w.u32(chunk.frames.len() as u32);
     for (seq, payload) in &chunk.frames {
-        out.extend_from_slice(&record::encode_frame(*seq, payload));
+        w.bytes(&record::encode_frame(*seq, payload));
     }
-    out
+    w.finish()
+}
+
+impl From<DecodeError> for ShipError {
+    fn from(e: DecodeError) -> ShipError {
+        match e.kind {
+            DecodeErrorKind::Truncated | DecodeErrorKind::Count { .. } => truncated(e.to_string()),
+            DecodeErrorKind::UnsupportedVersion { found, .. } => ShipError::UnsupportedVersion {
+                version: SHIP_VERSION,
+                found,
+            },
+            _ => corrupt(e.to_string()),
+        }
+    }
 }
 
 /// Decodes and fully verifies a chunk: header magic and version, every
@@ -243,35 +252,24 @@ pub fn encode_chunk(chunk: &ShipChunk) -> Vec<u8> {
 /// [`ShipError::Truncated`]; trailing bytes past the advertised count
 /// are [`ShipError::Corrupt`].
 pub fn decode_chunk(bytes: &[u8]) -> Result<ShipChunk, ShipError> {
-    if bytes.len() < CHUNK_HEADER {
-        return Err(truncated(format!(
-            "{} bytes is shorter than the {CHUNK_HEADER}-byte chunk header",
-            bytes.len()
+    let mut r = Reader::new("ship chunk", bytes);
+    r.header(CHUNK_MAGIC, SHIP_VERSION..=SHIP_VERSION)?;
+    let durable_seq = r.u64()?;
+    let checkpoint_seq = r.u64()?;
+    let first_seq = r.u64()?;
+    let count = r.u32()?;
+    if count > 0 && first_seq.checked_add(u64::from(count) - 1).is_none() {
+        return Err(corrupt(format!(
+            "{count} frames from seq {first_seq} overflow u64"
         )));
     }
-    if &bytes[..8] != CHUNK_MAGIC {
-        return Err(corrupt("chunk has bad magic"));
-    }
-    let found = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
-    if found != SHIP_VERSION {
-        return Err(ShipError::UnsupportedVersion {
-            version: SHIP_VERSION,
-            found,
-        });
-    }
-    let durable_seq = u64::from_le_bytes(bytes[10..18].try_into().unwrap());
-    let checkpoint_seq = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
-    let first_seq = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
-    let count = u32::from_le_bytes(bytes[34..38].try_into().unwrap()) as usize;
-    // `count` is untrusted: preallocate only what the remaining bytes
-    // can hold, so a forged count is a typed error, not an abort.
-    let mut frames =
-        Vec::with_capacity(count.min((bytes.len() - CHUNK_HEADER) / record::FRAME_HEADER));
+    // `count` is untrusted: it must fit the remaining bytes at one frame
+    // header each, so a forged count is a typed error, not an abort.
+    let count = r.check_count(count.into(), record::FRAME_HEADER)?;
+    let mut frames = Vec::with_capacity(count);
     let mut offset = CHUNK_HEADER;
     for i in 0..count {
-        let seq = first_seq
-            .checked_add(i as u64)
-            .ok_or_else(|| corrupt(format!("frame {i} of {count} overflows seq {first_seq}")))?;
+        let seq = first_seq + i as u64;
         let frame = record::decode_frame(&bytes[offset..], Some(seq)).map_err(|e| match e {
             record::FrameError::TruncatedHeader | record::FrameError::TruncatedBody => truncated(
                 format!("chunk ends mid-frame at offset {offset} (frame {i} of {count})"),

@@ -54,6 +54,7 @@ use std::time::Instant;
 use crate::record::{self, MAX_PAYLOAD};
 use crate::storage::{StdWalStorage, WalFile, WalStorage};
 use crate::{atomic_write_durable, sweep_stale_tmp, sync_dir};
+use fdc_obs::bytes::{Reader, Writer};
 
 /// On-disk format version, embedded in every segment header and in
 /// [`WalError::Corrupt`] so an error message names the format it failed
@@ -284,11 +285,8 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn segment_header_bytes() -> [u8; SEGMENT_HEADER] {
-    let mut h = [0u8; SEGMENT_HEADER];
-    h[..6].copy_from_slice(SEGMENT_MAGIC);
-    h[6..].copy_from_slice(&WAL_VERSION.to_le_bytes());
-    h
+fn segment_header_bytes() -> Vec<u8> {
+    Writer::with_header(SEGMENT_MAGIC, WAL_VERSION, SEGMENT_HEADER).finish()
 }
 
 fn read_checkpoint_marker(dir: &Path) -> Result<u64, WalError> {
@@ -385,16 +383,9 @@ impl Wal {
                     path.display()
                 )));
             }
-            if &bytes[..6] != SEGMENT_MAGIC {
-                return Err(corrupt(format!("segment {} has bad magic", path.display())));
-            }
-            let ver = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
-            if ver != WAL_VERSION {
-                return Err(corrupt(format!(
-                    "segment {} has format version {ver}, reader speaks {WAL_VERSION}",
-                    path.display()
-                )));
-            }
+            Reader::new("wal segment", &bytes)
+                .header(SEGMENT_MAGIC, WAL_VERSION..=WAL_VERSION)
+                .map_err(|e| corrupt(format!("segment {}: {e}", path.display())))?;
             let mut offset = SEGMENT_HEADER;
             let mut seq = *first;
             while offset < bytes.len() {
